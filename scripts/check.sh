@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Repo verification: tier-1 build + full test suite, then an ASan/UBSan
-# build of the EvoScope-facing suites (obs, dataflow, integration) to catch
-# races/UB the release build hides, and a TSan build of the data-plane
-# suites (channel ring buffer, task loops, stress tests) to catch ordering
-# bugs in the lock-free paths.
+# Repo verification: tier-1 build + full test suite, then the EvoBench
+# benchmark's own tests built against the engine sources, an ASan/UBSan
+# build of the EvoScope-facing and keyed-state suites (obs, dataflow,
+# integration, state) to catch races/UB the release build hides, and a TSan
+# build of the data-plane suites (channel ring buffer, task loops, stress
+# tests) to catch ordering bugs in the lock-free paths.
 #
 # Usage: scripts/check.sh [--fast]
 #   --fast   skip the chaos and sanitizer stages
@@ -62,6 +63,14 @@ trap - EXIT
 rm -f "$SMOKE_OUT"
 echo "=== introspection smoke passed ==="
 
+echo "=== EvoBench: build against src/ + evobench_test ==="
+# Its own build tree: perfbench is a standalone CMake project over ../src.
+# evobench_test checks the benchmark's backend decorator forwards snapshot,
+# restore and drop with identical bytes.
+cmake -S perfbench -B build-perfbench -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake --build build-perfbench -j"$(nproc)" --target evobench evobench_test
+./build-perfbench/evobench_test
+
 if [[ "$FAST" == "1" ]]; then
   echo "=== skipping chaos + sanitizer stages (--fast) ==="
   exit 0
@@ -94,11 +103,13 @@ cmake -B build-asan -S . \
   -DCMAKE_CXX_FLAGS="$SAN_FLAGS" \
   -DCMAKE_EXE_LINKER_FLAGS="$SAN_FLAGS" >/dev/null
 cmake --build build-asan -j"$(nproc)" \
-  --target obs_test dataflow_test integration_test introspection_test
+  --target obs_test dataflow_test integration_test introspection_test \
+           state_test state_diff_test
 
 echo "=== asan/ubsan: run ==="
 export ASAN_OPTIONS=detect_leaks=0   # tests intentionally leak-free-ish; races/UB are the target
-for t in obs_test dataflow_test integration_test introspection_test; do
+for t in obs_test dataflow_test integration_test introspection_test \
+         state_test state_diff_test; do
   echo "--- $t ---"
   ./build-asan/tests/"$t"
 done

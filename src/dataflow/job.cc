@@ -171,12 +171,12 @@ Status JobRunner::Start(const JobSnapshot* restore_from) {
     }
   }
 
-  // 3. Distribute restore payloads.
+  // 3. Distribute restore payloads; each task copies the ones it needs.
   if (restore_from != nullptr) {
     for (size_t v = 0; v < vertices.size(); ++v) {
-      std::vector<TaskSnapshot> for_vertex;
+      std::vector<const TaskSnapshot*> for_vertex;
       for (const TaskSnapshot& t : restore_from->tasks) {
-        if (t.vertex == vertices[v].name) for_vertex.push_back(t);
+        if (t.vertex == vertices[v].name) for_vertex.push_back(&t);
       }
       if (for_vertex.empty()) continue;
       for (Task* task : vertex_tasks[v]) {

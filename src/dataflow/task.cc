@@ -133,8 +133,23 @@ void Task::PublishQueryableState() {
   }
 }
 
-Status Task::Restore(std::vector<TaskSnapshot> snapshots) {
-  restore_snapshots_ = std::move(snapshots);
+Status Task::Restore(
+    const std::vector<const TaskSnapshot*>& vertex_snapshots) {
+  restore_parallelism_ = static_cast<uint32_t>(vertex_snapshots.size());
+  const uint32_t start =
+      KeyGroup::RangeStart(subtask_, max_parallelism_, parallelism_);
+  const uint32_t end =
+      KeyGroup::RangeEnd(subtask_, max_parallelism_, parallelism_);
+  for (const TaskSnapshot* snap : vertex_snapshots) {
+    const bool overlaps =
+        KeyGroup::RangeStart(snap->subtask, max_parallelism_,
+                             restore_parallelism_) < end &&
+        start < KeyGroup::RangeEnd(snap->subtask, max_parallelism_,
+                                   restore_parallelism_);
+    if (snap->subtask == subtask_ || (source_ == nullptr && overlaps)) {
+      restore_snapshots_.push_back(*snap);
+    }
+  }
   return Status::OK();
 }
 
@@ -210,13 +225,13 @@ void Task::Run() {
 
 Status Task::RunSourceLoop() {
   EVO_RETURN_IF_ERROR(source_->Open(subtask_, parallelism_));
-  for (const TaskSnapshot& snap : restore_snapshots_) {
-    if (snap.subtask != subtask_) continue;  // sources restore 1:1 only
+  for (const TaskSnapshot& snap : restore_snapshots_) {  // own index only
     std::string_view custom, timers, backend;
     EVO_RETURN_IF_ERROR(SplitSnapshot(snap.data, &custom, &timers, &backend));
     BinaryReader r(custom);
     EVO_RETURN_IF_ERROR(source_->RestoreState(&r));
   }
+  std::vector<TaskSnapshot>().swap(restore_snapshots_);
   while (!cancelled_.load(std::memory_order_acquire)) {
     if (failed_.load(std::memory_order_acquire)) {
       return Status::Aborted("injected failure");
@@ -289,19 +304,22 @@ Status Task::RunOperatorLoop() {
       }
       merged_any = true;
     }
-    // Keep only this subtask's key-group range (rescale restore).
-    uint32_t start = KeyGroup::RangeStart(subtask_, max_parallelism_,
-                                                 parallelism_);
-    uint32_t end =
-        KeyGroup::RangeEnd(subtask_, max_parallelism_, parallelism_);
-    if (start > 0) EVO_RETURN_IF_ERROR(backend_->DropKeyGroups(0, start));
-    if (end < max_parallelism_) {
-      EVO_RETURN_IF_ERROR(backend_->DropKeyGroups(end, max_parallelism_));
+    std::vector<TaskSnapshot>().swap(restore_snapshots_);
+    if (restore_parallelism_ != parallelism_) {
+      // Rescaled: keep only this subtask's key-group range.
+      uint32_t start =
+          KeyGroup::RangeStart(subtask_, max_parallelism_, parallelism_);
+      uint32_t end =
+          KeyGroup::RangeEnd(subtask_, max_parallelism_, parallelism_);
+      if (start > 0) EVO_RETURN_IF_ERROR(backend_->DropKeyGroups(0, start));
+      if (end < max_parallelism_) {
+        EVO_RETURN_IF_ERROR(backend_->DropKeyGroups(end, max_parallelism_));
+      }
+      timers_->Filter([&](const time::Timer& t) {
+        uint32_t kg = KeyGroup::OfHash(t.key, max_parallelism_);
+        return kg >= start && kg < end;
+      });
     }
-    timers_->Filter([&](const time::Timer& t) {
-      uint32_t kg = KeyGroup::OfHash(t.key, max_parallelism_);
-      return kg >= start && kg < end;
-    });
   }
 
   // States are registered by Open (and restore); export them for external

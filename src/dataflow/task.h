@@ -138,12 +138,12 @@ class Task {
   void AddInput(InputChannel in) { inputs_.push_back(in); }
   void AddOutput(OutputGate gate) { outputs_.push_back(std::move(gate)); }
 
-  /// \brief Provides snapshot payloads to restore before Start(). Several
-  /// payloads may be passed when the job is being rescaled: keyed state and
-  /// timers are merged from all of them and filtered to this subtask's
-  /// key-group range; operator-custom state is taken from the payload whose
-  /// original subtask index matches (if any).
-  Status Restore(std::vector<TaskSnapshot> snapshots);
+  /// \brief Picks what to restore before Start() from the snapshots of this
+  /// task's vertex, which ran with one task per snapshot: the payload of this
+  /// subtask index (source and operator-custom state) and, for operators,
+  /// every payload whose key-group range overlaps this task's. After a
+  /// rescale, restored keyed state and timers outside that range are dropped.
+  Status Restore(const std::vector<const TaskSnapshot*>& vertex_snapshots);
 
   /// \brief Spawns the task thread.
   void Start();
@@ -276,6 +276,7 @@ class Task {
   /// alignment completes early and exactly-once breaks.
   std::vector<bool> barrier_from_input_;
   std::vector<TaskSnapshot> restore_snapshots_;
+  uint32_t restore_parallelism_ = 0;  ///< tasks of the vertex at snapshot time
   bool feedback_quiet_ = false;
   Stopwatch feedback_quiet_since_;
   TimeMs last_marker_ms_ = 0;

@@ -125,8 +125,14 @@ class IntervalJoinOperator final : public dataflow::Operator {
     auto* mine = input == 0 ? left_.get() : right_.get();
     auto* theirs = input == 0 ? right_.get() : left_.get();
 
-    // Buffer this record under its timestamp.
-    std::string ts_key = TsKey(record.event_time, next_seq_++);
+    // Buffer under (ts, n), n = this side's records already buffered for the
+    // key at ts. Read from keyed state, so unique across restore and rescale.
+    std::string ts_key;
+    for (uint64_t seq = 0;; ++seq) {
+      ts_key = TsKey(record.event_time, seq);
+      EVO_ASSIGN_OR_RETURN(auto taken, mine->Get(ts_key));
+      if (!taken.has_value()) break;
+    }
     EVO_RETURN_IF_ERROR(mine->Put(ts_key, SerializeToString(record.payload)));
 
     // Match against the other side within the interval. For a left record at
@@ -140,7 +146,8 @@ class IntervalJoinOperator final : public dataflow::Operator {
     EVO_RETURN_IF_ERROR(theirs->ForEach(
         [&](const std::string& other_key, const std::string& other_blob) {
           if (!inner.ok()) return;
-          TimeMs other_ts = DecodeTs(other_key);
+          TimeMs other_ts =
+              static_cast<TimeMs>(state::StateKey::ReadU64BE(other_key));
           if (other_ts < lo || other_ts > hi) return;
           auto other = DeserializeFromString<Value>(other_blob);
           if (!other.ok()) {
@@ -171,7 +178,8 @@ class IntervalJoinOperator final : public dataflow::Operator {
       std::vector<std::string> dead;
       EVO_RETURN_IF_ERROR(side->ForEach(
           [&](const std::string& ts_key, const std::string&) {
-            if (DecodeTs(ts_key) <= cutoff) dead.push_back(ts_key);
+            auto ts = static_cast<TimeMs>(state::StateKey::ReadU64BE(ts_key));
+            if (ts <= cutoff) dead.push_back(ts_key);
           }));
       for (const std::string& k : dead) EVO_RETURN_IF_ERROR(side->Remove(k));
     }
@@ -187,17 +195,9 @@ class IntervalJoinOperator final : public dataflow::Operator {
     state::StateKey::AppendU64BE(&k, seq);
     return k;
   }
-  static TimeMs DecodeTs(const std::string& key) {
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v = (v << 8) | static_cast<unsigned char>(key[static_cast<size_t>(i)]);
-    }
-    return static_cast<TimeMs>(v);
-  }
 
   int64_t lower_, upper_;
   JoinFunction join_fn_;
-  uint64_t next_seq_ = 0;
   std::unique_ptr<state::MapState<std::string, std::string>> left_;
   std::unique_ptr<state::MapState<std::string, std::string>> right_;
 };

@@ -293,7 +293,8 @@ class WindowOperator final : public dataflow::Operator {
     EVO_RETURN_IF_ERROR(windows_->ForEach(
         [&](const std::string& start_key, const std::string& blob) {
           if (!inner.ok()) return;
-          TimeMs start = DecodeStart(start_key);
+          TimeMs start =
+              static_cast<TimeMs>(state::StateKey::ReadU64BE(start_key));
           BinaryReader r(blob);
           TimeMs end = 0;
           inner = r.ReadI64(&end);
@@ -386,14 +387,6 @@ class WindowOperator final : public dataflow::Operator {
     out->Emit(Record(stored.end - 1, key,
                      Value::Tuple(stored.start, stored.end, std::move(result))));
     return Status::OK();
-  }
-
-  static TimeMs DecodeStart(const std::string& key) {
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v = (v << 8) | static_cast<unsigned char>(key[static_cast<size_t>(i)]);
-    }
-    return static_cast<TimeMs>(v);
   }
 
   std::shared_ptr<WindowAssigner> assigner_;

@@ -9,11 +9,14 @@
 ///   - key:       the record key hash set by keyBy; determines the key group
 ///   - user_key:  sub-addressing within a key (map entries, list indices)
 ///
-/// Keys map to key groups (hash % max_parallelism); snapshots can be taken
-/// per key-group range, which is what makes rescaling and state migration
-/// possible without splitting any key's state (Flink-style).
+/// The key group is derived from the key (hash % max_parallelism). Snapshots
+/// are taken per key-group range, in one wire format (SnapshotEncoder) that
+/// every backend shares whatever its storage layout. That is what makes
+/// rescaling and state migration possible without splitting any key's state
+/// (Flink-style).
 
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <optional>
 #include <string>
@@ -29,27 +32,22 @@ namespace evo::state {
 /// \brief Identifies a declared piece of state within an operator.
 using StateNamespace = uint32_t;
 
-/// \brief Composite key helpers shared by backends so that encodings (and
-/// therefore snapshots) are interchangeable between backends.
+/// \brief Big-endian fixed-width user keys: the encoding sorts numerically
+/// in the byte order every backend visits user keys in (list indices, window
+/// starts, join timestamps).
 struct StateKey {
-  /// Encodes ns | key_group | key | user_key, big-endian so lexicographic
-  /// order groups by namespace then key group (range snapshots are scans).
-  static std::string Encode(StateNamespace ns, uint32_t key_group, uint64_t key,
-                            std::string_view user_key) {
-    std::string out;
-    out.reserve(16 + user_key.size());
-    AppendU32BE(&out, ns);
-    AppendU32BE(&out, key_group);
-    AppendU64BE(&out, key);
-    out.append(user_key);
-    return out;
-  }
-
-  static void AppendU32BE(std::string* out, uint32_t v) {
-    for (int i = 3; i >= 0; --i) out->push_back(static_cast<char>(v >> (8 * i)));
-  }
   static void AppendU64BE(std::string* out, uint64_t v) {
-    for (int i = 7; i >= 0; --i) out->push_back(static_cast<char>(v >> (8 * i)));
+    for (int i = 7; i >= 0; --i) {
+      out->push_back(static_cast<char>(v >> (8 * i)));
+    }
+  }
+  /// Reads the big-endian u64 at byte `off` of `s`.
+  static uint64_t ReadU64BE(std::string_view s, size_t off = 0) {
+    uint64_t v = 0;
+    for (size_t i = 0; i < 8; ++i) {
+      v = (v << 8) | static_cast<unsigned char>(s[off + i]);
+    }
+    return v;
   }
 };
 
@@ -83,18 +81,29 @@ class KeyedStateBackend {
                                std::string_view value)>& fn) = 0;
 
   /// \brief Serializes all state for key groups in [from, to) — the unit of
-  /// checkpointing and migration.
+  /// checkpointing and migration — in the wire format of SnapshotEncoder.
   virtual Result<std::string> SnapshotKeyGroups(uint32_t from, uint32_t to) = 0;
 
   /// \brief Merges a snapshot produced by SnapshotKeyGroups (from any backend
   /// implementation) into this backend.
-  virtual Status RestoreSnapshot(std::string_view snapshot) = 0;
+  virtual Status RestoreSnapshot(std::string_view snapshot) {
+    return ForEachSnapshotEntry(snapshot, [this](auto ns, auto key, auto uk,
+                                                 auto value) {
+      return Put(ns, key, uk, value);
+    });
+  }
 
   /// \brief Drops all state for key groups in [from, to); used after
   /// migrating those groups away.
-  virtual Status DropKeyGroups(uint32_t from, uint32_t to) = 0;
+  virtual Status DropKeyGroups(uint32_t from, uint32_t to) {
+    EVO_ASSIGN_OR_RETURN(std::string doomed, SnapshotKeyGroups(from, to));
+    return ForEachSnapshotEntry(doomed, [this](auto ns, auto key, auto uk,
+                                               auto /*value*/) {
+      return Remove(ns, key, uk);
+    });
+  }
 
-  virtual Status Clear() = 0;
+  virtual Status Clear() { return DropKeyGroups(0, max_parallelism_); }
   virtual uint64_t ApproxEntryCount() const = 0;
 
   /// \brief Attaches EvoScope instruments. `scope` labels every series this
@@ -127,15 +136,51 @@ class KeyedStateBackend {
   }
 
  protected:
-  /// Shared snapshot wire format: count | (ns, key_group, key, user_key,
-  /// value)* so any backend can restore any other's snapshot.
-  static void EncodeSnapshotEntry(BinaryWriter* w, StateNamespace ns,
-                                  uint64_t key, std::string_view user_key,
-                                  std::string_view value) {
-    w->WriteU32(ns);
-    w->WriteU64(key);
-    w->WriteBytes(user_key);
-    w->WriteBytes(value);
+  /// \brief Builds a snapshot in the shared wire format,
+  /// u64 count | (u32 ns, u64 key, bytes user_key, bytes value)*,
+  /// in a single buffer.
+  class SnapshotEncoder {
+   public:
+    SnapshotEncoder() { w_.WriteU64(0); }  // the count, set by Finish
+
+    void Add(StateNamespace ns, uint64_t key, std::string_view user_key,
+             std::string_view value) {
+      w_.WriteU32(ns);
+      w_.WriteU64(key);
+      w_.WriteBytes(user_key);
+      w_.WriteBytes(value);
+      ++count_;
+    }
+
+    std::string Finish() {
+      std::string out = w_.Take();
+      std::memcpy(out.data(), &count_, sizeof(count_));  // as WriteU64 does
+      return out;
+    }
+
+   private:
+    BinaryWriter w_;
+    uint64_t count_ = 0;
+  };
+
+  /// \brief Calls `fn(ns, key, user_key, value)` for each entry of a
+  /// snapshot, stopping at the first error.
+  template <typename Fn>
+  static Status ForEachSnapshotEntry(std::string_view snapshot, Fn&& fn) {
+    BinaryReader r(snapshot);
+    uint64_t count = 0;
+    EVO_RETURN_IF_ERROR(r.ReadU64(&count));
+    for (uint64_t i = 0; i < count; ++i) {
+      uint32_t ns = 0;
+      uint64_t key = 0;
+      std::string_view user_key, value;
+      EVO_RETURN_IF_ERROR(r.ReadU32(&ns));
+      EVO_RETURN_IF_ERROR(r.ReadU64(&key));
+      EVO_RETURN_IF_ERROR(r.ReadBytes(&user_key));
+      EVO_RETURN_IF_ERROR(r.ReadBytes(&value));
+      EVO_RETURN_IF_ERROR(fn(ns, key, user_key, value));
+    }
+    return Status::OK();
   }
 
   uint32_t max_parallelism_;

@@ -74,7 +74,6 @@ class ExternalBackend final : public KeyedStateBackend {
   Status DropKeyGroups(uint32_t from, uint32_t to) override {
     return inner_.DropKeyGroups(from, to);
   }
-  Status Clear() override { return inner_.Clear(); }
   uint64_t ApproxEntryCount() const override {
     return inner_.ApproxEntryCount();
   }

@@ -16,6 +16,10 @@
 namespace evo::state {
 
 /// \brief LSM-backed keyed state.
+///
+/// The tree orders byte keys, so state is stored under the composite key
+/// ns | key_group | key | user_key, big-endian so that lexicographic order
+/// groups by namespace, then key group, then key, then user key.
 class LsmBackend final : public KeyedStateBackend {
  public:
   static Result<std::unique_ptr<LsmBackend>> Open(
@@ -29,12 +33,10 @@ class LsmBackend final : public KeyedStateBackend {
   Status Put(StateNamespace ns, uint64_t key, std::string_view user_key,
              std::string_view value) override {
     if (hist_put_us_ == nullptr) {
-      return tree_->Put(StateKey::Encode(ns, KeyGroupOf(key), key, user_key),
-                        value);
+      return tree_->Put(Encode(ns, key, user_key), value);
     }
     Stopwatch watch;
-    Status st =
-        tree_->Put(StateKey::Encode(ns, KeyGroupOf(key), key, user_key), value);
+    Status st = tree_->Put(Encode(ns, key, user_key), value);
     hist_put_us_->Record(static_cast<double>(watch.ElapsedNanos()) / 1000.0);
     return st;
   }
@@ -42,39 +44,37 @@ class LsmBackend final : public KeyedStateBackend {
   Result<std::optional<std::string>> Get(StateNamespace ns, uint64_t key,
                                          std::string_view user_key) override {
     if (hist_get_us_ == nullptr) {
-      return tree_->Get(StateKey::Encode(ns, KeyGroupOf(key), key, user_key));
+      return tree_->Get(Encode(ns, key, user_key));
     }
     Stopwatch watch;
-    auto result =
-        tree_->Get(StateKey::Encode(ns, KeyGroupOf(key), key, user_key));
+    auto result = tree_->Get(Encode(ns, key, user_key));
     hist_get_us_->Record(static_cast<double>(watch.ElapsedNanos()) / 1000.0);
     return result;
   }
 
   Status Remove(StateNamespace ns, uint64_t key,
                 std::string_view user_key) override {
-    return tree_->Delete(StateKey::Encode(ns, KeyGroupOf(key), key, user_key));
+    return tree_->Delete(Encode(ns, key, user_key));
   }
 
   Status IterateKey(StateNamespace ns, uint64_t key,
                     const std::function<void(std::string_view,
                                              std::string_view)>& fn) override {
-    const std::string prefix = StateKey::Encode(ns, KeyGroupOf(key), key, "");
-    return tree_->ScanPrefix(
-        prefix, [&](std::string_view ck, std::string_view value) {
-          fn(ck.substr(prefix.size()), value);
-        });
+    return tree_->ScanPrefix(Encode(ns, key, ""),
+                             [&](std::string_view ck, std::string_view value) {
+                               fn(Decode(ck).user_key, value);
+                             });
   }
 
   Status IterateNamespace(
       StateNamespace ns,
       const std::function<void(uint64_t, std::string_view, std::string_view)>&
           fn) override {
-    std::string prefix;
-    StateKey::AppendU32BE(&prefix, ns);
     return tree_->ScanPrefix(
-        prefix, [&](std::string_view ck, std::string_view value) {
-          fn(DecodeU64BE(ck, 8), ck.substr(16), value);
+        Encode(ns, 0, "").substr(0, 4),  // the namespace bytes
+        [&](std::string_view ck, std::string_view value) {
+          const Decoded d = Decode(ck);
+          fn(d.key, d.user_key, value);
         });
   }
 
@@ -83,58 +83,18 @@ class LsmBackend final : public KeyedStateBackend {
     // contiguous; we scan per namespace prefix and filter. Simpler: scan all
     // and filter by the decoded group (state sizes here are snapshot-bound
     // anyway).
-    BinaryWriter entries;
-    uint64_t count = 0;
+    SnapshotEncoder snapshot;
     uint64_t snap = tree_->GetSnapshot();
     Status st = tree_->ScanPrefix(
         "", snap, [&](std::string_view ck, std::string_view value) {
-          uint32_t kg = DecodeU32BE(ck, 4);
-          if (kg < from || kg >= to) return;
-          EncodeSnapshotEntry(&entries, DecodeU32BE(ck, 0), DecodeU64BE(ck, 8),
-                              ck.substr(16), value);
-          ++count;
+          const Decoded d = Decode(ck);
+          if (d.key_group < from || d.key_group >= to) return;
+          snapshot.Add(d.ns, d.key, d.user_key, value);
         });
     tree_->ReleaseSnapshot(snap);
     EVO_RETURN_IF_ERROR(st);
-    BinaryWriter w;
-    w.WriteU64(count);
-    w.WriteRaw(entries.buffer().data(), entries.size());
-    return w.Take();
+    return snapshot.Finish();
   }
-
-  Status RestoreSnapshot(std::string_view snapshot) override {
-    BinaryReader r(snapshot);
-    uint64_t count = 0;
-    EVO_RETURN_IF_ERROR(r.ReadU64(&count));
-    for (uint64_t i = 0; i < count; ++i) {
-      uint32_t ns = 0;
-      uint64_t key = 0;
-      std::string_view user_key, value;
-      EVO_RETURN_IF_ERROR(r.ReadU32(&ns));
-      EVO_RETURN_IF_ERROR(r.ReadU64(&key));
-      EVO_RETURN_IF_ERROR(r.ReadBytes(&user_key));
-      EVO_RETURN_IF_ERROR(r.ReadBytes(&value));
-      EVO_RETURN_IF_ERROR(Put(ns, key, user_key, value));
-    }
-    return Status::OK();
-  }
-
-  Status DropKeyGroups(uint32_t from, uint32_t to) override {
-    // Collect then delete (tombstones) — the scan sees a stable snapshot.
-    std::vector<std::string> doomed;
-    uint64_t snap = tree_->GetSnapshot();
-    Status st = tree_->ScanPrefix(
-        "", snap, [&](std::string_view ck, std::string_view) {
-          uint32_t kg = DecodeU32BE(ck, 4);
-          if (kg >= from && kg < to) doomed.emplace_back(ck);
-        });
-    tree_->ReleaseSnapshot(snap);
-    EVO_RETURN_IF_ERROR(st);
-    for (const std::string& ck : doomed) EVO_RETURN_IF_ERROR(tree_->Delete(ck));
-    return Status::OK();
-  }
-
-  Status Clear() override { return DropKeyGroups(0, max_parallelism_); }
 
   uint64_t ApproxEntryCount() const override {
     LsmStats stats = tree_->GetStats();
@@ -182,19 +142,29 @@ class LsmBackend final : public KeyedStateBackend {
   LsmBackend(std::unique_ptr<LsmTree> tree, uint32_t max_parallelism)
       : KeyedStateBackend(max_parallelism), tree_(std::move(tree)) {}
 
-  static uint32_t DecodeU32BE(std::string_view s, size_t off) {
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v = (v << 8) | static_cast<unsigned char>(s[off + static_cast<size_t>(i)]);
-    }
-    return v;
+  /// ns | key_group | key | user_key, with ns and key group written as one
+  /// big-endian u64.
+  std::string Encode(StateNamespace ns, uint64_t key,
+                     std::string_view user_key) const {
+    std::string out;
+    out.reserve(16 + user_key.size());
+    StateKey::AppendU64BE(&out, uint64_t{ns} << 32 | KeyGroupOf(key));
+    StateKey::AppendU64BE(&out, key);
+    out.append(user_key);
+    return out;
   }
-  static uint64_t DecodeU64BE(std::string_view s, size_t off) {
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v = (v << 8) | static_cast<unsigned char>(s[off + static_cast<size_t>(i)]);
-    }
-    return v;
+  /// The parts of a composite key.
+  struct Decoded {
+    StateNamespace ns;
+    uint32_t key_group;
+    uint64_t key;
+    std::string_view user_key;
+  };
+  static Decoded Decode(std::string_view ck) {
+    const uint64_t head = StateKey::ReadU64BE(ck, 0);
+    return {static_cast<StateNamespace>(head >> 32),
+            static_cast<uint32_t>(head), StateKey::ReadU64BE(ck, 8),
+            ck.substr(16)};
   }
 
   std::unique_ptr<LsmTree> tree_;

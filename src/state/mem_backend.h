@@ -11,6 +11,7 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "state/backend.h"
@@ -19,12 +20,11 @@ namespace evo::state {
 
 /// \brief In-memory keyed state backend.
 ///
-/// Entries live in one hash map keyed by the shared composite encoding;
-/// per-key iteration sorts matching entries on demand (keys have few user
-/// entries in practice: map state and list indices). Operations are guarded
-/// by a mutex so queryable-state readers can observe a running task's
-/// backend safely (read-committed isolation at single-operation
-/// granularity).
+/// Entries are indexed by (namespace, key) in a hash map; each slot holds an
+/// ordered user-key map, so per-key iteration is a walk of one small map.
+/// Operations are guarded by a mutex so queryable-state readers can observe
+/// a running task's backend safely (read-committed isolation at
+/// single-operation granularity).
 class MemBackend final : public KeyedStateBackend {
  public:
   explicit MemBackend(
@@ -34,141 +34,103 @@ class MemBackend final : public KeyedStateBackend {
   Status Put(StateNamespace ns, uint64_t key, std::string_view user_key,
              std::string_view value) override {
     std::lock_guard<std::mutex> lock(mu_);
-    table_[StateKey::Encode(ns, KeyGroupOf(key), key, user_key)] =
-        std::string(value);
+    auto [it, inserted] =
+        table_[Slot{ns, key}].try_emplace(std::string(user_key));
+    it->second.assign(value);
+    entry_count_ += inserted ? 1 : 0;
     return Status::OK();
   }
 
   Result<std::optional<std::string>> Get(StateNamespace ns, uint64_t key,
                                          std::string_view user_key) override {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = table_.find(StateKey::Encode(ns, KeyGroupOf(key), key, user_key));
-    if (it == table_.end()) return std::optional<std::string>{};
+    auto slot = table_.find(Slot{ns, key});
+    if (slot == table_.end()) return std::optional<std::string>{};
+    auto it = slot->second.find(user_key);
+    if (it == slot->second.end()) return std::optional<std::string>{};
     return std::optional<std::string>(it->second);
   }
 
   Status Remove(StateNamespace ns, uint64_t key,
                 std::string_view user_key) override {
     std::lock_guard<std::mutex> lock(mu_);
-    table_.erase(StateKey::Encode(ns, KeyGroupOf(key), key, user_key));
+    auto slot = table_.find(Slot{ns, key});
+    if (slot == table_.end()) return Status::OK();
+    auto it = slot->second.find(user_key);
+    if (it == slot->second.end()) return Status::OK();
+    slot->second.erase(it);
+    --entry_count_;
+    if (slot->second.empty()) table_.erase(slot);
     return Status::OK();
   }
 
   Status IterateKey(StateNamespace ns, uint64_t key,
                     const std::function<void(std::string_view,
                                              std::string_view)>& fn) override {
-    const std::string prefix = StateKey::Encode(ns, KeyGroupOf(key), key, "");
     std::lock_guard<std::mutex> lock(mu_);
-    std::vector<std::pair<std::string_view, std::string_view>> hits;
-    for (const auto& [ck, value] : table_) {
-      if (ck.size() >= prefix.size() &&
-          ck.compare(0, prefix.size(), prefix) == 0) {
-        hits.emplace_back(std::string_view(ck).substr(prefix.size()), value);
-      }
-    }
-    std::sort(hits.begin(), hits.end());
-    for (const auto& [user_key, value] : hits) fn(user_key, value);
+    auto slot = table_.find(Slot{ns, key});
+    if (slot == table_.end()) return Status::OK();
+    for (const auto& [user_key, value] : slot->second) fn(user_key, value);
     return Status::OK();
   }
 
+  /// Visits in (key group, key, user key) order, as LsmBackend does.
   Status IterateNamespace(
       StateNamespace ns,
       const std::function<void(uint64_t, std::string_view, std::string_view)>&
           fn) override {
-    // Sort for deterministic order.
     std::lock_guard<std::mutex> lock(mu_);
-    std::vector<const std::pair<const std::string, std::string>*> hits;
+    std::vector<const Table::value_type*> hits;
     for (const auto& kv : table_) {
-      if (DecodeNs(kv.first) == ns) hits.push_back(&kv);
+      if (kv.first.ns == ns) hits.push_back(&kv);
     }
-    std::sort(hits.begin(), hits.end(),
-              [](const auto* a, const auto* b) { return a->first < b->first; });
+    std::sort(hits.begin(), hits.end(), [this](const auto* a, const auto* b) {
+      return std::pair(KeyGroupOf(a->first.key), a->first.key) <
+             std::pair(KeyGroupOf(b->first.key), b->first.key);
+    });
     for (const auto* kv : hits) {
-      fn(DecodeKey(kv->first), UserKeyOf(kv->first), kv->second);
+      for (const auto& [user_key, value] : kv->second) {
+        fn(kv->first.key, user_key, value);
+      }
     }
     return Status::OK();
   }
 
   Result<std::string> SnapshotKeyGroups(uint32_t from, uint32_t to) override {
     std::lock_guard<std::mutex> lock(mu_);
-    BinaryWriter w;
-    uint64_t count = 0;
-    BinaryWriter entries;
-    for (const auto& [ck, value] : table_) {
-      uint32_t kg = DecodeKeyGroup(ck);
+    SnapshotEncoder snapshot;
+    for (const auto& [slot, entries] : table_) {
+      const uint32_t kg = KeyGroupOf(slot.key);
       if (kg < from || kg >= to) continue;
-      EncodeSnapshotEntry(&entries, DecodeNs(ck), DecodeKey(ck), UserKeyOf(ck),
-                          value);
-      ++count;
-    }
-    w.WriteU64(count);
-    w.WriteRaw(entries.buffer().data(), entries.size());
-    return w.Take();
-  }
-
-  Status RestoreSnapshot(std::string_view snapshot) override {
-    BinaryReader r(snapshot);
-    uint64_t count = 0;
-    EVO_RETURN_IF_ERROR(r.ReadU64(&count));
-    for (uint64_t i = 0; i < count; ++i) {
-      uint32_t ns = 0;
-      uint64_t key = 0;
-      std::string_view user_key, value;
-      EVO_RETURN_IF_ERROR(r.ReadU32(&ns));
-      EVO_RETURN_IF_ERROR(r.ReadU64(&key));
-      EVO_RETURN_IF_ERROR(r.ReadBytes(&user_key));
-      EVO_RETURN_IF_ERROR(r.ReadBytes(&value));
-      EVO_RETURN_IF_ERROR(Put(ns, key, user_key, value));
-    }
-    return Status::OK();
-  }
-
-  Status DropKeyGroups(uint32_t from, uint32_t to) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto it = table_.begin(); it != table_.end();) {
-      uint32_t kg = DecodeKeyGroup(it->first);
-      if (kg >= from && kg < to) {
-        it = table_.erase(it);
-      } else {
-        ++it;
+      for (const auto& [user_key, value] : entries) {
+        snapshot.Add(slot.ns, slot.key, user_key, value);
       }
     }
-    return Status::OK();
-  }
-
-  Status Clear() override {
-    std::lock_guard<std::mutex> lock(mu_);
-    table_.clear();
-    return Status::OK();
+    return snapshot.Finish();
   }
 
   uint64_t ApproxEntryCount() const override {
     std::lock_guard<std::mutex> lock(mu_);
-    return table_.size();
+    return entry_count_;
   }
 
  private:
-  static uint32_t DecodeU32BE(std::string_view s, size_t off) {
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v = (v << 8) | static_cast<unsigned char>(s[off + static_cast<size_t>(i)]);
+  struct Slot {
+    StateNamespace ns;
+    uint64_t key;
+    bool operator==(const Slot& o) const { return ns == o.ns && key == o.key; }
+  };
+  struct SlotHash {
+    size_t operator()(const Slot& s) const {
+      return static_cast<size_t>(HashCombine(s.key, s.ns));
     }
-    return v;
-  }
-  static uint64_t DecodeU64BE(std::string_view s, size_t off) {
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v = (v << 8) | static_cast<unsigned char>(s[off + static_cast<size_t>(i)]);
-    }
-    return v;
-  }
-  static StateNamespace DecodeNs(std::string_view ck) { return DecodeU32BE(ck, 0); }
-  static uint32_t DecodeKeyGroup(std::string_view ck) { return DecodeU32BE(ck, 4); }
-  static uint64_t DecodeKey(std::string_view ck) { return DecodeU64BE(ck, 8); }
-  static std::string_view UserKeyOf(std::string_view ck) { return ck.substr(16); }
+  };
+  using UserMap = std::map<std::string, std::string, std::less<>>;
+  using Table = std::unordered_map<Slot, UserMap, SlotHash>;
 
   mutable std::mutex mu_;
-  std::unordered_map<std::string, std::string> table_;
+  Table table_;
+  uint64_t entry_count_ = 0;
 };
 
 }  // namespace evo::state

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <set>
 
@@ -433,6 +434,148 @@ TEST(CheckpointTest, RescaleRedistributesStateByKeyGroup) {
   runner2.Stop();
 
   EXPECT_EQ(FinalCounts(sink2.Snapshot()), ExactCounts(log));
+}
+
+// Forwards to a MemBackend and counts what a restore does to it.
+class CountingBackend final : public state::KeyedStateBackend {
+ public:
+  struct Counts {
+    std::atomic<int> restores{0};
+    std::atomic<uint64_t> restored_entries{0};
+    std::atomic<int> drops{0};
+  };
+
+  explicit CountingBackend(Counts* counts) : counts_(counts) {}
+
+  Status Put(state::StateNamespace ns, uint64_t key, std::string_view uk,
+             std::string_view value) override {
+    return inner_.Put(ns, key, uk, value);
+  }
+  Result<std::optional<std::string>> Get(state::StateNamespace ns,
+                                         uint64_t key,
+                                         std::string_view uk) override {
+    return inner_.Get(ns, key, uk);
+  }
+  Status Remove(state::StateNamespace ns, uint64_t key,
+                std::string_view uk) override {
+    return inner_.Remove(ns, key, uk);
+  }
+  Status IterateKey(state::StateNamespace ns, uint64_t key,
+                    const std::function<void(std::string_view,
+                                             std::string_view)>& fn) override {
+    return inner_.IterateKey(ns, key, fn);
+  }
+  Status IterateNamespace(
+      state::StateNamespace ns,
+      const std::function<void(uint64_t, std::string_view, std::string_view)>&
+          fn) override {
+    return inner_.IterateNamespace(ns, fn);
+  }
+  Result<std::string> SnapshotKeyGroups(uint32_t from, uint32_t to) override {
+    return inner_.SnapshotKeyGroups(from, to);
+  }
+  Status RestoreSnapshot(std::string_view snapshot) override {
+    ++counts_->restores;
+    counts_->restored_entries += EntriesIn(snapshot);
+    return inner_.RestoreSnapshot(snapshot);
+  }
+  Status DropKeyGroups(uint32_t from, uint32_t to) override {
+    ++counts_->drops;
+    return inner_.DropKeyGroups(from, to);
+  }
+  Status Clear() override { return inner_.Clear(); }
+  uint64_t ApproxEntryCount() const override {
+    return inner_.ApproxEntryCount();
+  }
+
+  /// The entry count that starts a backend snapshot.
+  static uint64_t EntriesIn(std::string_view snapshot) {
+    BinaryReader r(snapshot);
+    uint64_t n = 0;
+    EXPECT_TRUE(r.ReadU64(&n).ok());
+    return n;
+  }
+
+ private:
+  Counts* counts_;
+  state::MemBackend inner_;
+};
+
+/// Keyed-state entries in one task's snapshot payload.
+uint64_t BackendEntries(const TaskSnapshot& task) {
+  BinaryReader r(task.data);
+  std::string_view custom, timers, backend;
+  EXPECT_TRUE(r.ReadBytes(&custom).ok());
+  EXPECT_TRUE(r.ReadBytes(&timers).ok());
+  EXPECT_TRUE(r.ReadBytes(&backend).ok());
+  return CountingBackend::EntriesIn(backend);
+}
+
+// Restores `snapshot` into CountingTopology at `parallelism`, with counting
+// backends on the "count" vertex, and runs to the end of `log`.
+void RestoreCounted(const ReplayableLog& log, const JobSnapshot& snapshot,
+                    uint32_t parallelism,
+                    std::vector<CountingBackend::Counts>* counts) {
+  CollectingSink sink;
+  Topology topo = CountingTopology(&log, &sink, parallelism,
+                                   /*end_at_eof=*/true);
+  JobConfig config;
+  config.backend_factory = [counts](const std::string& vertex,
+                                    uint32_t subtask)
+      -> std::unique_ptr<state::KeyedStateBackend> {
+    if (vertex != "count") return std::make_unique<state::MemBackend>();
+    return std::make_unique<CountingBackend>(&(*counts)[subtask]);
+  };
+  JobRunner runner(topo, config);
+  ASSERT_TRUE(runner.Start(&snapshot).ok());
+  ASSERT_TRUE(runner.AwaitCompletion(30000).ok());
+  runner.Stop();
+  EXPECT_EQ(FinalCounts(sink.Snapshot()), ExactCounts(log));
+}
+
+TEST(CheckpointTest, RestoreAtEqualParallelismTakesOnlyOwnSnapshot) {
+  ReplayableLog log = MakeWordLog(50000, 200);
+  CollectingSink sink1;
+  Topology topo1 = CountingTopology(&log, &sink1, 3, /*end_at_eof=*/false);
+  JobRunner runner1(topo1, JobConfig{});
+  ASSERT_TRUE(runner1.Start().ok());
+  auto snapshot = runner1.TriggerCheckpoint(15000);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  runner1.Stop();
+
+  std::vector<uint64_t> own_entries(3, 0);
+  for (const TaskSnapshot& t : snapshot->tasks) {
+    if (t.vertex == "count") own_entries[t.subtask] = BackendEntries(t);
+  }
+
+  std::vector<CountingBackend::Counts> counts(3);
+  RestoreCounted(log, *snapshot, 3, &counts);
+  for (uint32_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(counts[i].restores.load(), 1) << "subtask " << i;
+    EXPECT_EQ(counts[i].restored_entries.load(), own_entries[i])
+        << "subtask " << i;
+    EXPECT_EQ(counts[i].drops.load(), 0) << "subtask " << i;
+  }
+}
+
+TEST(CheckpointTest, RescaleRestoresOnlyOverlappingSnapshots) {
+  // 3 -> 2 tasks over 128 key groups: old ranges [0,43) [43,86) [86,128),
+  // new ranges [0,64) [64,128). Each new task overlaps two old ranges.
+  ReplayableLog log = MakeWordLog(50000, 200);
+  CollectingSink sink1;
+  Topology topo1 = CountingTopology(&log, &sink1, 3, /*end_at_eof=*/false);
+  JobRunner runner1(topo1, JobConfig{});
+  ASSERT_TRUE(runner1.Start().ok());
+  auto snapshot = runner1.TriggerCheckpoint(15000);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  runner1.Stop();
+
+  std::vector<CountingBackend::Counts> counts(2);
+  RestoreCounted(log, *snapshot, 2, &counts);
+  for (uint32_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(counts[i].restores.load(), 2) << "subtask " << i;
+    EXPECT_EQ(counts[i].drops.load(), 1) << "subtask " << i;
+  }
 }
 
 TEST(CheckpointTest, PeriodicCoordinatorProducesCheckpoints) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <map>
 
 #include "common/rng.h"
@@ -153,8 +154,12 @@ TEST(PunctuationPatternTest, PunctuationsForwardThroughOperators) {
 // Input 0 (hash): (category, amount) data. Input 1 (broadcast): (category,
 // threshold) rules. Emits data records whose amount exceeds the *current*
 // threshold for their category — dynamic logic without redeploying.
+// Counts every rule update it applies into `rules_applied`.
 class RuleFilterOperator final : public dataflow::Operator {
  public:
+  explicit RuleFilterOperator(std::atomic<int>* rules_applied)
+      : rules_applied_(rules_applied) {}
+
   Status ProcessRecord(Record& record, dataflow::Collector* out) override {
     return ProcessRecordFrom(0, record, out);
   }
@@ -164,6 +169,7 @@ class RuleFilterOperator final : public dataflow::Operator {
     const auto& l = record.payload.AsList();
     if (input == 1) {  // rule update (broadcast: every subtask sees it)
       rules_[l[0].AsString()] = l[1].AsInt();
+      rules_applied_->fetch_add(1);
       return Status::OK();
     }
     auto rule = rules_.find(l[0].AsString());
@@ -174,6 +180,26 @@ class RuleFilterOperator final : public dataflow::Operator {
 
  private:
   std::map<std::string, int64_t> rules_;  // broadcast state (per subtask)
+  std::atomic<int>* rules_applied_;
+};
+
+// Stays idle until `open()` holds, then reads its inner source.
+class GatedSource final : public dataflow::Source {
+ public:
+  GatedSource(std::unique_ptr<dataflow::Source> inner,
+              std::function<bool()> open)
+      : inner_(std::move(inner)), open_(std::move(open)) {}
+
+  Status Open(uint32_t subtask_index, uint32_t parallelism) override {
+    return inner_->Open(subtask_index, parallelism);
+  }
+  dataflow::SourcePoll Next() override {
+    return open_() ? inner_->Next() : dataflow::SourcePoll::Idle();
+  }
+
+ private:
+  std::unique_ptr<dataflow::Source> inner_;
+  std::function<bool()> open_;
 };
 
 TEST(BroadcastRulesTest, RuleUpdatesChangeFilteringLive) {
@@ -194,9 +220,16 @@ TEST(BroadcastRulesTest, RuleUpdatesChangeFilteringLive) {
                                       amount));
   }
 
+  // The data source waits until every filter subtask has applied both
+  // rules, so each data record meets the final thresholds.
+  constexpr int kFilterParallelism = 3;
+  std::atomic<int> rules_applied{0};
   dataflow::Topology topo;
-  auto data_src = topo.AddSource("data", [&data] {
-    return std::make_unique<dataflow::LogSource>(&data);
+  auto data_src = topo.AddSource("data", [&data, &rules_applied] {
+    return std::make_unique<GatedSource>(
+        std::make_unique<dataflow::LogSource>(&data), [&rules_applied] {
+          return rules_applied.load() == 2 * kFilterParallelism;
+        });
   });
   auto rule_src = topo.AddSource("rules", [&rules] {
     return std::make_unique<dataflow::LogSource>(&rules);
@@ -204,9 +237,9 @@ TEST(BroadcastRulesTest, RuleUpdatesChangeFilteringLive) {
   auto keyed = topo.KeyBy(data_src, "by-cat", [](const Value& v) {
     return v.AsList()[0];
   });
-  auto filter = topo.AddOperator("rule-filter", [] {
-    return std::make_unique<RuleFilterOperator>();
-  }, 3);
+  auto filter = topo.AddOperator("rule-filter", [&rules_applied] {
+    return std::make_unique<RuleFilterOperator>(&rules_applied);
+  }, kFilterParallelism);
   // Ordinal 0: data (hash). Ordinal 1: rules (broadcast to all subtasks).
   ASSERT_TRUE(topo.Connect(keyed, filter, dataflow::Partitioning::kHash).ok());
   ASSERT_TRUE(
@@ -214,20 +247,12 @@ TEST(BroadcastRulesTest, RuleUpdatesChangeFilteringLive) {
   dataflow::CollectingSink sink;
   topo.Sink(filter, "sink", sink.AsSinkFn());
 
-  // Hold data until rules have definitely been broadcast: rules log is tiny
-  // and sources start together; to make the test deterministic the filter
-  // treats "no rule yet" as threshold = +inf (drops), so we assert a lower
-  // bound reached exactly when rules beat data in each subtask. To keep it
-  // exact, run data through a small delay source instead.
   dataflow::JobRunner runner(topo, dataflow::JobConfig{});
   ASSERT_TRUE(runner.Start().ok());
   ASSERT_TRUE(runner.AwaitCompletion(30000).ok());
   runner.Stop();
 
-  // Rules are 2 records on an idle source: they land before the 2000 data
-  // records finish; allow a small startup window where data was dropped.
-  EXPECT_GE(sink.Count() + 50, static_cast<size_t>(expected));
-  EXPECT_LE(sink.Count(), static_cast<size_t>(expected));
+  EXPECT_EQ(sink.Count(), static_cast<size_t>(expected));
   for (const Record& r : sink.Snapshot()) {
     const auto& l = r.payload.AsList();
     int64_t threshold = l[0].AsString() == "electronics" ? 100 : 20;

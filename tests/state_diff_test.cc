@@ -1,0 +1,279 @@
+// Differential test of the keyed state backends: seeded random sequences of
+// every KeyedStateBackend operation run against MemBackend, LsmBackend,
+// ExternalBackend and a std::map model. Every read and every visit order
+// must match the model, and every snapshot must decode to the model's
+// entries for the requested key-group range.
+//
+// Replay one seed: state_diff_test --gtest_filter='*/<seed>'.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <iterator>
+#include <map>
+#include <memory>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "common/rng.h"
+#include "common/serde.h"
+#include "state/env.h"
+#include "state/external_backend.h"
+#include "state/lsm_backend.h"
+#include "state/mem_backend.h"
+#include "test_util.h"
+
+namespace evo::state {
+namespace {
+
+// Few key groups, so random ranges cover partial, empty and full splits.
+constexpr uint32_t kMaxParallelism = 8;
+constexpr int kOpsPerSeed = 2500;
+
+// (namespace, key group, key, user key): the visit order IterateNamespace
+// promises within one namespace.
+using ModelKey = std::tuple<StateNamespace, uint32_t, uint64_t, std::string>;
+using Model = std::map<ModelKey, std::string>;
+
+struct Entry {
+  StateNamespace ns;
+  uint64_t key;
+  std::string user_key;
+  std::string value;
+  bool operator<(const Entry& o) const {
+    return std::tie(ns, key, user_key, value) <
+           std::tie(o.ns, o.key, o.user_key, o.value);
+  }
+  bool operator==(const Entry& o) const {
+    return std::tie(ns, key, user_key, value) ==
+           std::tie(o.ns, o.key, o.user_key, o.value);
+  }
+};
+
+// Decodes the snapshot wire format independently of the engine:
+// u64 count | (u32 ns, u64 key, bytes user_key, bytes value)*.
+std::vector<Entry> DecodeSnapshot(std::string_view snapshot) {
+  std::vector<Entry> out;
+  BinaryReader r(snapshot);
+  uint64_t count = 0;
+  EXPECT_TRUE(r.ReadU64(&count).ok());
+  for (uint64_t i = 0; i < count; ++i) {
+    Entry e;
+    std::string_view uk, value;
+    EXPECT_TRUE(r.ReadU32(&e.ns).ok());
+    EXPECT_TRUE(r.ReadU64(&e.key).ok());
+    EXPECT_TRUE(r.ReadBytes(&uk).ok());
+    EXPECT_TRUE(r.ReadBytes(&value).ok());
+    e.user_key = std::string(uk);
+    e.value = std::string(value);
+    out.push_back(std::move(e));
+  }
+  EXPECT_TRUE(r.AtEnd()) << "trailing bytes after " << count << " entries";
+  return out;
+}
+
+class BackendDiffTest : public ::testing::TestWithParam<uint64_t> {
+ protected:
+  void SetUp() override {
+    backends_.push_back(std::make_unique<MemBackend>(kMaxParallelism));
+    auto lsm = LsmBackend::Open(
+        test_util::SmallLsmOptions(&env_, "/diff", 1024), kMaxParallelism);
+    ASSERT_TRUE(lsm.ok());
+    backends_.push_back(std::move(*lsm));
+    ExternalStoreModel model;
+    model.virtual_time = true;
+    backends_.push_back(
+        std::make_unique<ExternalBackend>(model, kMaxParallelism));
+    names_ = {"mem", "lsm", "external"};
+
+    Rng keys(GetParam() ^ 0x5eed);
+    for (int i = 0; i < 24; ++i) {
+      // Small keys and full-width ones, so big-endian order is exercised.
+      key_pool_.push_back(i < 8 ? static_cast<uint64_t>(i) : keys.NextU64());
+    }
+    user_key_pool_ = {"", "a", "ab", "b", std::string(1, '\0'),
+                      std::string("\0\x01", 2), "\xff", "\x7f\x80",
+                      "zz", std::string(8, '\x01')};
+  }
+
+  StateNamespace RandomNs(Rng* rng) {
+    return static_cast<StateNamespace>(rng->NextBounded(3));
+  }
+  uint64_t RandomKey(Rng* rng) {
+    return key_pool_[rng->NextBounded(key_pool_.size())];
+  }
+  std::string RandomUserKey(Rng* rng) {
+    return user_key_pool_[rng->NextBounded(user_key_pool_.size())];
+  }
+  ModelKey Key(StateNamespace ns, uint64_t key, const std::string& uk) const {
+    return {ns, KeyGroup::OfHash(key, kMaxParallelism), key, uk};
+  }
+  // A key-group range [from, to), possibly empty.
+  std::pair<uint32_t, uint32_t> RandomRange(Rng* rng) {
+    uint32_t a = static_cast<uint32_t>(rng->NextBounded(kMaxParallelism + 1));
+    uint32_t b = static_cast<uint32_t>(rng->NextBounded(kMaxParallelism + 1));
+    return {std::min(a, b), std::max(a, b)};
+  }
+
+  std::vector<Entry> ModelRange(uint32_t from, uint32_t to) const {
+    std::vector<Entry> out;
+    for (const auto& [k, v] : model_) {
+      const auto& [ns, kg, key, uk] = k;
+      if (kg >= from && kg < to) out.push_back({ns, key, uk, v});
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+  void CheckEverything(const std::string& where) {
+    for (StateNamespace ns = 0; ns < 3; ++ns) {
+      std::vector<std::tuple<uint64_t, std::string, std::string>> want;
+      for (const auto& [k, v] : model_) {
+        if (std::get<0>(k) == ns) {
+          want.emplace_back(std::get<2>(k), std::get<3>(k), v);
+        }
+      }
+      for (size_t b = 0; b < backends_.size(); ++b) {
+        std::vector<std::tuple<uint64_t, std::string, std::string>> got;
+        ASSERT_TRUE(backends_[b]
+                        ->IterateNamespace(ns,
+                                           [&](uint64_t key,
+                                               std::string_view uk,
+                                               std::string_view v) {
+                                             got.emplace_back(
+                                                 key, std::string(uk),
+                                                 std::string(v));
+                                           })
+                        .ok());
+        ASSERT_EQ(got, want) << names_[b] << " ns " << ns << " " << where;
+      }
+    }
+  }
+
+  MemEnv env_;
+  std::vector<std::unique_ptr<KeyedStateBackend>> backends_;
+  std::vector<std::string> names_;
+  std::vector<uint64_t> key_pool_;
+  std::vector<std::string> user_key_pool_;
+  Model model_;
+};
+
+TEST_P(BackendDiffTest, RandomOperationsMatchModel) {
+  Rng rng(GetParam());
+  std::vector<std::string> old_snapshots;
+  for (int step = 0; step < kOpsPerSeed; ++step) {
+    const std::string where = "at step " + std::to_string(step);
+    const uint64_t op = rng.NextBounded(100);
+    if (op < 35) {  // Put
+      StateNamespace ns = RandomNs(&rng);
+      uint64_t key = RandomKey(&rng);
+      std::string uk = RandomUserKey(&rng);
+      std::string value = "v" + std::to_string(rng.NextBounded(1000));
+      if (rng.NextBool(0.1)) value.clear();
+      model_[Key(ns, key, uk)] = value;
+      for (auto& b : backends_) ASSERT_TRUE(b->Put(ns, key, uk, value).ok());
+    } else if (op < 55) {  // Get
+      StateNamespace ns = RandomNs(&rng);
+      uint64_t key = RandomKey(&rng);
+      std::string uk = RandomUserKey(&rng);
+      auto it = model_.find(Key(ns, key, uk));
+      for (size_t b = 0; b < backends_.size(); ++b) {
+        auto got = backends_[b]->Get(ns, key, uk);
+        ASSERT_TRUE(got.ok());
+        ASSERT_EQ(got->has_value(), it != model_.end())
+            << names_[b] << " " << where;
+        if (it != model_.end()) {
+          ASSERT_EQ(**got, it->second) << names_[b] << " " << where;
+        }
+      }
+    } else if (op < 68) {  // Remove (present or not)
+      StateNamespace ns = RandomNs(&rng);
+      uint64_t key = RandomKey(&rng);
+      std::string uk = RandomUserKey(&rng);
+      model_.erase(Key(ns, key, uk));
+      for (auto& b : backends_) ASSERT_TRUE(b->Remove(ns, key, uk).ok());
+    } else if (op < 80) {  // IterateKey
+      StateNamespace ns = RandomNs(&rng);
+      uint64_t key = RandomKey(&rng);
+      std::vector<std::pair<std::string, std::string>> want;
+      for (const auto& [k, v] : model_) {
+        if (std::get<0>(k) == ns && std::get<2>(k) == key) {
+          want.emplace_back(std::get<3>(k), v);
+        }
+      }
+      for (size_t b = 0; b < backends_.size(); ++b) {
+        std::vector<std::pair<std::string, std::string>> got;
+        ASSERT_TRUE(backends_[b]
+                        ->IterateKey(ns, key,
+                                     [&](std::string_view uk,
+                                         std::string_view v) {
+                                       got.emplace_back(uk, v);
+                                     })
+                        .ok());
+        ASSERT_EQ(got, want) << names_[b] << " " << where;
+      }
+    } else if (op < 85) {  // IterateNamespace
+      CheckEverything(where);
+    } else if (op < 92) {  // SnapshotKeyGroups
+      auto [from, to] = RandomRange(&rng);
+      const std::vector<Entry> want = ModelRange(from, to);
+      for (size_t b = 0; b < backends_.size(); ++b) {
+        auto snap = backends_[b]->SnapshotKeyGroups(from, to);
+        ASSERT_TRUE(snap.ok());
+        std::vector<Entry> got = DecodeSnapshot(*snap);
+        std::sort(got.begin(), got.end());
+        ASSERT_EQ(got, want) << names_[b] << " [" << from << "," << to
+                             << ") " << where;
+        if (b == static_cast<size_t>(step) % backends_.size()) {
+          old_snapshots.push_back(std::move(*snap));
+        }
+      }
+    } else if (op < 96) {  // RestoreSnapshot: merge an older snapshot back
+      if (old_snapshots.empty()) continue;
+      const std::string& snap =
+          old_snapshots[rng.NextBounded(old_snapshots.size())];
+      for (const Entry& e : DecodeSnapshot(snap)) {
+        model_[Key(e.ns, e.key, e.user_key)] = e.value;
+      }
+      for (auto& b : backends_) ASSERT_TRUE(b->RestoreSnapshot(snap).ok());
+    } else {  // DropKeyGroups
+      auto [from, to] = RandomRange(&rng);
+      for (auto it = model_.begin(); it != model_.end();) {
+        const uint32_t kg = std::get<1>(it->first);
+        it = (kg >= from && kg < to) ? model_.erase(it) : std::next(it);
+      }
+      for (auto& b : backends_) ASSERT_TRUE(b->DropKeyGroups(from, to).ok());
+    }
+  }
+  CheckEverything("at end");
+
+  // A full snapshot of any backend restores into any other backend type.
+  for (size_t src = 0; src < backends_.size(); ++src) {
+    auto snap = backends_[src]->SnapshotAll();
+    ASSERT_TRUE(snap.ok());
+    MemBackend mem(kMaxParallelism);
+    ASSERT_TRUE(mem.RestoreSnapshot(*snap).ok());
+    auto again = mem.SnapshotAll();
+    ASSERT_TRUE(again.ok());
+    std::vector<Entry> a = DecodeSnapshot(*snap), b = DecodeSnapshot(*again);
+    std::sort(a.begin(), a.end());
+    std::sort(b.begin(), b.end());
+    EXPECT_EQ(a, b) << names_[src];
+    EXPECT_EQ(a, ModelRange(0, kMaxParallelism)) << names_[src];
+  }
+
+  // Clear leaves nothing behind.
+  for (auto& b : backends_) ASSERT_TRUE(b->Clear().ok());
+  model_.clear();
+  CheckEverything("after Clear");
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BackendDiffTest,
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 424242),
+                         [](const auto& info) {
+                           return std::to_string(info.param);
+                         });
+
+}  // namespace
+}  // namespace evo::state
