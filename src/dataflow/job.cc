@@ -200,6 +200,8 @@ Status JobRunner::Start(const JobSnapshot* restore_from) {
         "task_staged_elements", task->vertex(), task->subtask()));
     g.inbox = metrics_.GetGauge(obs::TaskMetricName(
         "task_inbox_elements", task->vertex(), task->subtask()));
+    g.timers_pending = metrics_.GetGauge(obs::TaskMetricName(
+        "task_timers_pending", task->vertex(), task->subtask()));
     task_gauges_.push_back(g);
   }
 
@@ -505,6 +507,7 @@ void JobRunner::PublishMetrics() {
     g.busy_ratio->Set(task.BusyRatio());
     g.staged->Set(static_cast<double>(task.StagedElements()));
     g.inbox->Set(static_cast<double>(task.InboxElements()));
+    g.timers_pending->Set(static_cast<double>(task.TimersPending()));
   }
   {
     // Backpressure edge detection: a channel goes "backpressured" when it is

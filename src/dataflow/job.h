@@ -210,6 +210,8 @@ class JobRunner {
     /// (up to ~2*channel_batch_size per edge).
     Gauge* staged = nullptr;
     Gauge* inbox = nullptr;
+    /// Pending timers as of the task's last watermark or checkpoint.
+    Gauge* timers_pending = nullptr;
   };
   std::vector<TaskGauges> task_gauges_;
   /// Per-channel probe for PublishMetrics (one per physical channel). All

@@ -320,6 +320,7 @@ Status Task::RunOperatorLoop() {
         return kg >= start && kg < end;
       });
     }
+    CountTimers();
   }
 
   // States are registered by Open (and restore); export them for external
@@ -542,7 +543,14 @@ Status Task::FireEventTimers(TimeMs watermark) {
     if (state_ctx_ != nullptr) state_ctx_->SetCurrentKey(t.key);
     inner = op_->OnTimer(t, collector_.get());
   });
+  CountTimers();
   return inner;
+}
+
+void Task::CountTimers() {
+  timers_pending_.store(timers_->event_timers().size() +
+                            timers_->processing_timers().size(),
+                        std::memory_order_relaxed);
 }
 
 Status Task::PollProcessingTimers() {
@@ -618,6 +626,7 @@ Status Task::TakeSnapshot(uint64_t checkpoint_id) {
   } else {
     EVO_RETURN_IF_ERROR(op_->SnapshotState(&custom));
     timers_->EncodeTo(&timer_bytes);
+    CountTimers();
     EVO_ASSIGN_OR_RETURN(backend_snapshot, backend_->SnapshotAll());
   }
   BinaryWriter w;

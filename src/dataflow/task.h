@@ -199,6 +199,12 @@ class Task {
   size_t InboxElements() const {
     return inbox_backlog_.load(std::memory_order_relaxed);
   }
+  /// \brief Pending event- and processing-time timers, as counted by the
+  /// task thread at its last watermark or checkpoint (the reporter never
+  /// reads the timer queues). Exported as task_timers_pending.
+  size_t TimersPending() const {
+    return timers_pending_.load(std::memory_order_relaxed);
+  }
 
  private:
   class GateCollector;
@@ -217,6 +223,7 @@ class Task {
                        CheckpointMode mode);
   Status TakeSnapshot(uint64_t checkpoint_id);
   Status FireEventTimers(TimeMs watermark);
+  void CountTimers();
   Status PollProcessingTimers();
 
   void EmitRecordDownstream(Record record);
@@ -266,6 +273,8 @@ class Task {
   std::vector<size_t> inbox_size_;
   /// Total popped-but-unprocessed elements across all inboxes.
   std::atomic<size_t> inbox_backlog_{0};
+  /// Timer-queue sizes, refreshed by the task thread (CountTimers).
+  std::atomic<size_t> timers_pending_{0};
   std::unique_ptr<time::WatermarkTracker> wm_tracker_;
   std::vector<bool> input_ended_;
   std::vector<bool> input_blocked_;  // aligned-barrier blocking

@@ -15,6 +15,7 @@
 
 #include "common/clock.h"
 #include "dataflow/operator.h"
+#include "operators/slice_store.h"
 #include "state/state_api.h"
 
 namespace evo::op {
@@ -22,9 +23,11 @@ namespace evo::op {
 /// \brief Combines a matched pair into the output payload.
 using JoinFunction = std::function<Value(const Value& left, const Value& right)>;
 
-/// \brief Tumbling-window equi-join: records of both inputs are buffered per
-/// (key, window); when the watermark closes a window, the cross product of
-/// the two sides is emitted and the buffers purged.
+/// \brief Tumbling-window equi-join: each side stores its records once, per
+/// (key, window), in a SliceStore whose slice is the window start; when the
+/// watermark closes a window, the cross product of the two sides is emitted
+/// and both slices deleted. Records with no event time or a negative one
+/// are in no window and go to the "late" side output.
 class WindowJoinOperator final : public dataflow::Operator {
  public:
   WindowJoinOperator(int64_t window_size, JoinFunction join_fn)
@@ -32,8 +35,8 @@ class WindowJoinOperator final : public dataflow::Operator {
 
   Status Open(dataflow::OperatorContext* ctx) override {
     EVO_RETURN_IF_ERROR(Operator::Open(ctx));
-    buffers_ = std::make_unique<state::MapState<std::string, std::string>>(
-        ctx->state(), "join.buffers");
+    sides_[0] = std::make_unique<SliceStore>(ctx->state(), "join.left");
+    sides_[1] = std::make_unique<SliceStore>(ctx->state(), "join.right");
     return Status::OK();
   }
 
@@ -43,15 +46,15 @@ class WindowJoinOperator final : public dataflow::Operator {
 
   Status ProcessRecordFrom(size_t input, Record& record,
                            dataflow::Collector* out) override {
-    (void)out;
     if (input > 1) return Status::InvalidArgument("join has two inputs");
-    TimeMs start = (record.event_time / window_size_) * window_size_;
-    std::string buffer_key = BufferKey(start, input);
-    EVO_ASSIGN_OR_RETURN(auto blob, buffers_->Get(buffer_key));
-    BinaryWriter w;
-    if (blob.has_value()) w.WriteRaw(blob->data(), blob->size());
-    record.payload.EncodeTo(&w);
-    EVO_RETURN_IF_ERROR(buffers_->Put(buffer_key, w.buffer()));
+    if (record.event_time < 0) {
+      out->EmitSide("late", record);
+      return Status::OK();
+    }
+    TimeMs start = record.event_time - record.event_time % window_size_;
+    EVO_RETURN_IF_ERROR(
+        sides_[input]->Append(static_cast<uint64_t>(start), record.payload)
+            .status());
     ctx_->timers()->event_timers().Register(start + window_size_ - 1,
                                             record.key,
                                             static_cast<uint64_t>(start));
@@ -59,44 +62,23 @@ class WindowJoinOperator final : public dataflow::Operator {
   }
 
   Status OnTimer(const time::Timer& timer, dataflow::Collector* out) override {
-    TimeMs start = static_cast<TimeMs>(timer.tag);
-    EVO_ASSIGN_OR_RETURN(auto left_blob, buffers_->Get(BufferKey(start, 0)));
-    EVO_ASSIGN_OR_RETURN(auto right_blob, buffers_->Get(BufferKey(start, 1)));
-    if (left_blob.has_value() && right_blob.has_value()) {
-      EVO_ASSIGN_OR_RETURN(auto left, DecodeAll(*left_blob));
-      EVO_ASSIGN_OR_RETURN(auto right, DecodeAll(*right_blob));
-      for (const Value& l : left) {
-        for (const Value& r : right) {
-          out->Emit(Record(start + window_size_ - 1, timer.key, join_fn_(l, r)));
-        }
+    const uint64_t start = timer.tag;
+    EVO_ASSIGN_OR_RETURN(auto left, sides_[0]->Read(start, start + 1));
+    EVO_ASSIGN_OR_RETURN(auto right, sides_[1]->Read(start, start + 1));
+    for (const Value& l : left) {
+      for (const Value& r : right) {
+        out->Emit(Record(static_cast<TimeMs>(start) + window_size_ - 1,
+                         timer.key, join_fn_(l, r)));
       }
     }
-    EVO_RETURN_IF_ERROR(buffers_->Remove(BufferKey(start, 0)));
-    return buffers_->Remove(BufferKey(start, 1));
+    EVO_RETURN_IF_ERROR(sides_[0]->Remove(start, left.size()));
+    return sides_[1]->Remove(start, right.size());
   }
 
  private:
-  static std::string BufferKey(TimeMs start, size_t side) {
-    std::string k;
-    state::StateKey::AppendU64BE(&k, static_cast<uint64_t>(start));
-    k.push_back(static_cast<char>(side));
-    return k;
-  }
-
-  static Result<std::vector<Value>> DecodeAll(const std::string& blob) {
-    std::vector<Value> values;
-    BinaryReader r(blob);
-    while (!r.AtEnd()) {
-      Value v;
-      EVO_RETURN_IF_ERROR(Value::DecodeFrom(&r, &v));
-      values.push_back(std::move(v));
-    }
-    return values;
-  }
-
   int64_t window_size_;
   JoinFunction join_fn_;
-  std::unique_ptr<state::MapState<std::string, std::string>> buffers_;
+  std::unique_ptr<SliceStore> sides_[2];
 };
 
 /// \brief Interval join: for each left record at time t, emit pairs with

@@ -11,13 +11,14 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
 #include "common/clock.h"
 #include "dataflow/operator.h"
 #include "event/value.h"
-#include "state/state_api.h"
+#include "operators/slice_store.h"
 
 namespace evo::op {
 
@@ -28,7 +29,8 @@ struct Window {
   friend auto operator<=>(const Window&, const Window&) = default;
 };
 
-/// \brief Assigns each record to zero or more windows.
+/// \brief Assigns each record to zero or more windows. Windows start at 0
+/// or later, so a negative event time (or none) is in no window.
 class WindowAssigner {
  public:
   virtual ~WindowAssigner() = default;
@@ -37,6 +39,10 @@ class WindowAssigner {
   virtual bool IsMerging() const { return false; }
   /// \brief Merge gap for session windows.
   virtual int64_t SessionGap() const { return 0; }
+  /// \brief Fixed windows are `Size()` ms long and start at every multiple
+  /// of `Slide()` from 0; merging assigners return 0 for both.
+  virtual int64_t Size() const { return 0; }
+  virtual int64_t Slide() const { return 0; }
 };
 
 /// \brief Fixed, non-overlapping windows of `size` ms.
@@ -44,9 +50,12 @@ class TumblingWindows final : public WindowAssigner {
  public:
   explicit TumblingWindows(int64_t size) : size_(size) {}
   std::vector<Window> Assign(TimeMs ts) const override {
+    if (ts < 0) return {};
     TimeMs start = (ts / size_) * size_;
     return {Window{start, start + size_}};
   }
+  int64_t Size() const override { return size_; }
+  int64_t Slide() const override { return size_; }
 
  private:
   int64_t size_;
@@ -58,6 +67,7 @@ class SlidingWindows final : public WindowAssigner {
   SlidingWindows(int64_t size, int64_t slide) : size_(size), slide_(slide) {}
   std::vector<Window> Assign(TimeMs ts) const override {
     std::vector<Window> windows;
+    if (ts < 0) return windows;
     TimeMs last_start = (ts / slide_) * slide_;
     for (TimeMs start = last_start; start > ts - size_; start -= slide_) {
       windows.push_back(Window{start, start + size_});
@@ -65,6 +75,8 @@ class SlidingWindows final : public WindowAssigner {
     }
     return windows;
   }
+  int64_t Size() const override { return size_; }
+  int64_t Slide() const override { return slide_; }
 
  private:
   int64_t size_, slide_;
@@ -85,12 +97,15 @@ class SessionWindows final : public WindowAssigner {
   int64_t gap_;
 };
 
-/// \brief One global window; use with a count trigger.
+/// \brief One global window [0, MAX); use with a count trigger.
 class GlobalWindows final : public WindowAssigner {
  public:
-  std::vector<Window> Assign(TimeMs) const override {
+  std::vector<Window> Assign(TimeMs ts) const override {
+    if (ts < 0) return {};
     return {Window{0, kMaxWatermark}};
   }
+  int64_t Size() const override { return kMaxWatermark; }
+  int64_t Slide() const override { return kMaxWatermark; }
 };
 
 /// \brief When a window's contents are emitted.
@@ -178,16 +193,38 @@ struct WindowFunctions {
 
 /// \brief Options for the window operator.
 struct WindowOperatorOptions {
-  /// Keep windows open for late data up to this long past the watermark;
-  /// late firings re-emit updated results (Dataflow-model accumulating mode).
+  /// Keep windows open for late data up to this long past the watermark: a
+  /// window fires once the watermark passes end - 1 + allowed lateness.
   int64_t allowed_lateness_ms = 0;
-  /// Side-output tag for records later than watermark + allowed lateness.
+  /// Side-output tag for records later than watermark + allowed lateness,
+  /// and for records with no event time or a negative one.
   std::string late_tag = "late";
 };
 
-/// \brief Keyed windowing operator: buffers per (key, window) in ListState,
-/// fires on trigger/watermark, merges session windows, routes too-late
-/// records to a side output.
+/// \brief Keyed windowing operator: stores each record once, in its slice of
+/// a SliceStore, fires on trigger/watermark, merges session windows, routes
+/// too-late records to a side output.
+///
+/// Slices. Fixed windows (tumbling, sliding, global) are cut into panes of
+/// gcd(size, slide) ms. A pane lies wholly inside or outside each window,
+/// so a window is the run of panes it covers and a record is never copied
+/// into the several windows that share it. A session is one slice; merging
+/// sessions re-keys the absorbed sessions' records under the merged start,
+/// the only place records move. The WindowFunction receives a window's
+/// records in slice order, then arrival order.
+///
+/// Timers. Fixed windows chain their event-time timers per key instead of
+/// keeping one per (key, window): a new pane arms only the earliest window
+/// containing it, and firing a window deletes the panes no later window
+/// needs and arms the next window that holds a pane. Chains from different
+/// panes meet in TimerQueue's (when, key, tag) dedup. A key's windows thus
+/// fire in end order, each once, and a key has at most one pending timer
+/// per non-empty pane: a single one when its records share a pane, where
+/// per-window timers need size/slide. Sessions keep one timer per session.
+///
+/// Triggers. The plain EventTimeTrigger never reads counts; other triggers
+/// get each window's count from the slice metas. A purging trigger is
+/// rejected on overlapping windows, whose panes neighbouring windows share.
 ///
 /// Output records carry payload (window_start, window_end, result) with the
 /// record key preserved and event_time = window_end - 1 (so downstream
@@ -202,50 +239,42 @@ class WindowOperator final : public dataflow::Operator {
         window_fn_(std::move(window_fn)),
         trigger_(trigger ? std::move(trigger)
                          : std::make_shared<EventTimeTrigger>()),
-        options_(options) {}
+        options_(options),
+        counts_(dynamic_cast<EventTimeTrigger*>(trigger_.get()) == nullptr) {}
 
   Status Open(dataflow::OperatorContext* ctx) override {
     EVO_RETURN_IF_ERROR(Operator::Open(ctx));
-    // Window contents: MapState window-start -> serialized payload list.
-    windows_ = std::make_unique<state::MapState<std::string, std::string>>(
-        ctx->state(), "window.buffers");
+    merging_ = assigner_->IsMerging();
+    size_ = assigner_->Size();
+    slide_ = assigner_->Slide();
+    if (!merging_ && (size_ <= 0 || slide_ <= 0)) {
+      return Status::InvalidArgument("window assigner has no size and slide");
+    }
+    if (!merging_ && slide_ < size_ && trigger_->PurgeOnFire()) {
+      return Status::InvalidArgument(
+          "a purging trigger on overlapping windows would delete records "
+          "that neighbouring windows share");
+    }
+    pane_ = merging_ ? 0 : std::gcd(size_, slide_);
+    slices_ = std::make_unique<SliceStore>(ctx->state(), "window");
     return Status::OK();
   }
 
   Status ProcessRecord(Record& record, dataflow::Collector* out) override {
-    TimeMs watermark = ctx_->CurrentWatermark();
-    if (record.event_time != kNoTimestamp &&
-        record.event_time + options_.allowed_lateness_ms <= watermark &&
-        watermark != kMinWatermark) {
+    const TimeMs ts = record.event_time;
+    const TimeMs watermark = ctx_->CurrentWatermark();
+    // Windows start at 0, so no window holds a negative event time (or
+    // kNoTimestamp); such records are late for every window.
+    if (ts < 0 || (watermark != kMinWatermark &&
+                   ts + options_.allowed_lateness_ms <= watermark)) {
       out->EmitSide(options_.late_tag, record);
       return Status::OK();
     }
-
-    std::vector<Window> assigned = assigner_->Assign(record.event_time);
-    for (Window w : assigned) {
-      if (assigner_->IsMerging()) {
-        EVO_ASSIGN_OR_RETURN(w, MergeSessions(w, record.key));
-      }
-      EVO_ASSIGN_OR_RETURN(uint64_t count, AppendToWindow(w, record.payload));
-      if (trigger_->OnElement(w, record.event_time, count)) {
-        EVO_RETURN_IF_ERROR(
-            FireWindow(record.key, w, out, trigger_->PurgeOnFire()));
-      }
-      if (trigger_->FiresOnEventTime() && w.end != kMaxWatermark) {
-        ctx_->timers()->event_timers().Register(
-            w.end - 1 + options_.allowed_lateness_ms, record.key,
-            static_cast<uint64_t>(w.start));
-      }
-    }
-    return Status::OK();
+    return merging_ ? AddToSession(record, out) : AddToPane(record, out);
   }
 
   Status OnTimer(const time::Timer& timer, dataflow::Collector* out) override {
-    Window w;
-    w.start = static_cast<TimeMs>(timer.tag);
-    // End is recovered from stored window metadata (sessions can have moved
-    // their end; fixed windows recompute it on fire).
-    return FireStoredWindow(timer.key, w.start, out);
+    return merging_ ? FireSession(timer, out) : FirePanes(timer, out);
   }
 
   Status Close(dataflow::Collector* out) override {
@@ -254,146 +283,138 @@ class WindowOperator final : public dataflow::Operator {
   }
 
  private:
-  static std::string WindowKey(TimeMs start) {
-    std::string k;
-    state::StateKey::AppendU64BE(&k, static_cast<uint64_t>(start));
-    return k;
+  /// Registers the event-time timer that fires `w` under tag `w.start`.
+  void Arm(uint64_t key, const Window& w) {
+    if (!trigger_->FiresOnEventTime() || w.end == kMaxWatermark) return;
+    ctx_->timers()->event_timers().Register(
+        w.end - 1 + options_.allowed_lateness_ms, key,
+        static_cast<uint64_t>(w.start));
   }
 
-  /// Appends a payload to the (current key, window) buffer; returns count.
-  Result<uint64_t> AppendToWindow(const Window& w, const Value& payload) {
-    EVO_ASSIGN_OR_RETURN(auto buffered, windows_->Get(WindowKey(w.start)));
-    BinaryWriter writer;
-    uint64_t count = 0;
-    if (buffered.has_value()) {
-      // Stored form: end | count | payloads...
-      BinaryReader r(*buffered);
-      TimeMs end = 0;
-      EVO_RETURN_IF_ERROR(r.ReadI64(&end));
-      EVO_RETURN_IF_ERROR(r.ReadFixed(&count));
-      writer.WriteI64(std::max(end, w.end));
-      writer.WriteFixed(count + 1);
-      writer.WriteRaw(buffered->data() + r.position(),
-                      buffered->size() - r.position());
-    } else {
-      writer.WriteI64(w.end);
-      writer.WriteFixed(uint64_t{1});
-    }
-    payload.EncodeTo(&writer);
-    EVO_RETURN_IF_ERROR(windows_->Put(WindowKey(w.start), writer.buffer()));
-    return count + 1;
+  void Emit(uint64_t key, const Window& w, const std::vector<Value>& contents,
+            dataflow::Collector* out) {
+    Value result = window_fn_(key, w, contents);
+    out->Emit(Record(w.end - 1, key,
+                     Value::Tuple(w.start, w.end, std::move(result))));
   }
 
-  /// For session windows: finds stored windows for this key overlapping
-  /// [w.start - gap, w.end + gap) and merges them into one.
-  Result<Window> MergeSessions(Window w, uint64_t key) {
-    (void)key;  // state context is already scoped to the key
-    std::vector<std::pair<TimeMs, std::string>> to_merge;
-    Status inner = Status::OK();
-    EVO_RETURN_IF_ERROR(windows_->ForEach(
-        [&](const std::string& start_key, const std::string& blob) {
-          if (!inner.ok()) return;
-          TimeMs start =
-              static_cast<TimeMs>(state::StateKey::ReadU64BE(start_key));
-          BinaryReader r(blob);
-          TimeMs end = 0;
-          inner = r.ReadI64(&end);
-          if (!inner.ok()) return;
-          // Sessions merge when ranges touch.
-          if (end >= w.start && start <= w.end) {
-            to_merge.emplace_back(start, blob);
-          }
-        }));
-    EVO_RETURN_IF_ERROR(inner);
-    if (to_merge.empty()) return w;
+  Status AddToPane(const Record& record, dataflow::Collector* out) {
+    const TimeMs ts = record.event_time;
+    if (ts % slide_ >= size_) return Status::OK();  // between hopping windows
+    // A pane is inside the same windows as its start, which Assign lists
+    // from the latest to the earliest.
+    const TimeMs pane = ts - ts % pane_;
+    EVO_ASSIGN_OR_RETURN(
+        SliceStore::Meta meta,
+        slices_->Append(static_cast<uint64_t>(pane), record.payload));
+    if (meta.count == 1) Arm(record.key, assigner_->Assign(pane).back());
+    if (!counts_) return Status::OK();
 
-    // Merged extent.
-    Window merged = w;
-    for (const auto& [start, blob] : to_merge) {
-      BinaryReader r(blob);
-      TimeMs end = 0;
-      EVO_RETURN_IF_ERROR(r.ReadI64(&end));
-      merged.start = std::min(merged.start, start);
-      merged.end = std::max(merged.end, end);
-    }
-    // Rewrite contents under the merged start.
-    BinaryWriter writer;
-    writer.WriteI64(merged.end);
-    uint64_t total = 0;
-    BinaryWriter payloads;
-    for (const auto& [start, blob] : to_merge) {
-      BinaryReader r(blob);
-      TimeMs end = 0;
+    EVO_ASSIGN_OR_RETURN(auto slices, slices_->Slices());
+    for (const Window& w : assigner_->Assign(pane)) {
       uint64_t count = 0;
-      EVO_RETURN_IF_ERROR(r.ReadI64(&end));
-      EVO_RETURN_IF_ERROR(r.ReadFixed(&count));
-      total += count;
-      payloads.WriteRaw(blob.data() + r.position(), blob.size() - r.position());
-      if (start != merged.start) {
-        EVO_RETURN_IF_ERROR(windows_->Remove(WindowKey(start)));
+      for (const auto& [slice, m] : slices) {
+        const auto s = static_cast<TimeMs>(slice);
+        if (s >= w.start && s < w.end) count += m.count;
       }
-      // Old timers for absorbed windows become no-ops (no stored window).
+      if (!trigger_->OnElement(w, record.event_time, count)) continue;
+      EVO_ASSIGN_OR_RETURN(auto contents, slices_->Read(
+          static_cast<uint64_t>(w.start), static_cast<uint64_t>(w.end)));
+      Emit(record.key, w, contents, out);
+      if (!trigger_->PurgeOnFire()) continue;
+      for (const auto& [slice, m] : slices) {  // no other window shares them
+        const auto s = static_cast<TimeMs>(slice);
+        if (s >= w.start && s < w.end) {
+          EVO_RETURN_IF_ERROR(slices_->Remove(slice, m.count));
+        }
+      }
     }
-    writer.WriteFixed(total);
-    writer.WriteRaw(payloads.buffer().data(), payloads.size());
-    EVO_RETURN_IF_ERROR(windows_->Put(WindowKey(merged.start), writer.buffer()));
-    return merged;
+    return Status::OK();
   }
 
-  Status FireStoredWindow(uint64_t key, TimeMs start, dataflow::Collector* out) {
-    EVO_ASSIGN_OR_RETURN(auto buffered, windows_->Get(WindowKey(start)));
-    if (!buffered.has_value()) return Status::OK();  // merged away or purged
-    Window w;
-    w.start = start;
-    BinaryReader r(*buffered);
-    EVO_RETURN_IF_ERROR(r.ReadI64(&w.end));
-    if (assigner_->IsMerging() &&
-        w.end - 1 + options_.allowed_lateness_ms >
-            ctx_->CurrentWatermark()) {
-      // The session grew since the timer was set; re-arm at the new end.
-      ctx_->timers()->event_timers().Register(
-          w.end - 1 + options_.allowed_lateness_ms, key,
-          static_cast<uint64_t>(w.start));
+  /// Fires the window the timer names, deletes the panes no later window
+  /// needs, and arms the next window that holds a pane.
+  Status FirePanes(const time::Timer& timer, dataflow::Collector* out) {
+    const auto start = static_cast<TimeMs>(timer.tag);
+    const Window w{start, start + size_};
+    EVO_ASSIGN_OR_RETURN(auto contents, slices_->Read(
+        timer.tag, static_cast<uint64_t>(w.end)));
+    if (!contents.empty()) Emit(timer.key, w, contents, out);
+    EVO_ASSIGN_OR_RETURN(auto slices, slices_->Slices());
+    const TimeMs later = start + slide_;  // where every later window starts
+    for (const auto& [slice, meta] : slices) {
+      const auto pane = static_cast<TimeMs>(slice);
+      if (pane >= later) {
+        const TimeMs next = std::max(assigner_->Assign(pane).back().start,
+                                     later);
+        Arm(timer.key, Window{next, next + size_});
+        break;
+      }
+      EVO_RETURN_IF_ERROR(slices_->Remove(slice, meta.count));
+    }
+    return Status::OK();
+  }
+
+  /// Adds the record as a session [ts, ts + gap), merged with every stored
+  /// session it touches. The merged session keeps its records in session
+  /// order, then the new record.
+  Status AddToSession(const Record& record, dataflow::Collector* out) {
+    Window merged{record.event_time,
+                  record.event_time + assigner_->SessionGap()};
+    EVO_ASSIGN_OR_RETURN(auto sessions, slices_->Slices());
+    std::vector<std::pair<uint64_t, SliceStore::Meta>> touching;
+    for (const auto& [start, meta] : sessions) {
+      if (meta.end >= merged.start &&
+          static_cast<TimeMs>(start) <= merged.end) {
+        touching.emplace_back(start, meta);
+        merged.start = std::min(merged.start, static_cast<TimeMs>(start));
+        merged.end = std::max(merged.end, meta.end);
+      }
+    }
+    const auto slice = static_cast<uint64_t>(merged.start);
+    uint64_t count = 0;
+    for (const auto& [start, meta] : touching) {
+      if (start != slice) {
+        EVO_RETURN_IF_ERROR(slices_->Move(start, slice, count));
+      }
+      count += meta.count;
+    }
+    EVO_RETURN_IF_ERROR(slices_->PutEntry(slice, count, record.payload));
+    ++count;
+    EVO_RETURN_IF_ERROR(slices_->PutMeta(slice, {count, merged.end}));
+    Arm(record.key, merged);
+    if (!counts_ || !trigger_->OnElement(merged, record.event_time, count)) {
       return Status::OK();
     }
-    EVO_RETURN_IF_ERROR(EmitWindow(key, w, *buffered, out));
-    return windows_->Remove(WindowKey(start));
-  }
-
-  Status FireWindow(uint64_t key, const Window& w, dataflow::Collector* out,
-                    bool purge) {
-    EVO_ASSIGN_OR_RETURN(auto buffered, windows_->Get(WindowKey(w.start)));
-    if (!buffered.has_value()) return Status::OK();
-    EVO_RETURN_IF_ERROR(EmitWindow(key, w, *buffered, out));
-    if (purge) return windows_->Remove(WindowKey(w.start));
+    EVO_ASSIGN_OR_RETURN(auto contents, slices_->Read(slice, slice + 1));
+    Emit(record.key, merged, contents, out);
+    if (trigger_->PurgeOnFire()) return slices_->Remove(slice, count);
     return Status::OK();
   }
 
-  Status EmitWindow(uint64_t key, const Window& w, const std::string& blob,
-                    dataflow::Collector* out) {
-    BinaryReader r(blob);
-    Window stored = w;
-    uint64_t count = 0;
-    EVO_RETURN_IF_ERROR(r.ReadI64(&stored.end));
-    EVO_RETURN_IF_ERROR(r.ReadFixed(&count));
-    std::vector<Value> contents;
-    contents.reserve(count);
-    for (uint64_t i = 0; i < count; ++i) {
-      Value v;
-      EVO_RETURN_IF_ERROR(Value::DecodeFrom(&r, &v));
-      contents.push_back(std::move(v));
+  Status FireSession(const time::Timer& timer, dataflow::Collector* out) {
+    EVO_ASSIGN_OR_RETURN(auto meta, slices_->GetMeta(timer.tag));
+    if (!meta.has_value()) return Status::OK();  // merged away or purged
+    const Window w{static_cast<TimeMs>(timer.tag), meta->end};
+    if (w.end - 1 + options_.allowed_lateness_ms > ctx_->CurrentWatermark()) {
+      Arm(timer.key, w);  // the session grew since the timer was set
+      return Status::OK();
     }
-    Value result = window_fn_(key, stored, contents);
-    out->Emit(Record(stored.end - 1, key,
-                     Value::Tuple(stored.start, stored.end, std::move(result))));
-    return Status::OK();
+    EVO_ASSIGN_OR_RETURN(auto contents,
+                         slices_->Read(timer.tag, timer.tag + 1));
+    Emit(timer.key, w, contents, out);
+    return slices_->Remove(timer.tag, meta->count);
   }
 
   std::shared_ptr<WindowAssigner> assigner_;
   WindowFunction window_fn_;
   std::shared_ptr<Trigger> trigger_;
   WindowOperatorOptions options_;
-  std::unique_ptr<state::MapState<std::string, std::string>> windows_;
+  /// False for the plain EventTimeTrigger, which never reads window counts.
+  bool counts_;
+  bool merging_ = false;
+  int64_t size_ = 0, slide_ = 0, pane_ = 0;
+  std::unique_ptr<SliceStore> slices_;
 };
 
 }  // namespace evo::op

@@ -19,6 +19,7 @@
 #include "obs/exporters.h"
 #include "obs/reporter.h"
 #include "obs/tracing.h"
+#include "operators/window.h"
 #include "time/watermarks.h"
 
 namespace evo {
@@ -312,6 +313,73 @@ TEST(BenchArtifactTest, WritesJsonFileWithFiguresAndRegistry) {
 // ---------------------------------------------------------------------------
 // End-to-end: latency markers + runtime metrics through a running job
 // ---------------------------------------------------------------------------
+
+// Emits 400 records over 8 keys, all in [200, 220), then idles until
+// released, then ends with a MAX watermark that fires every window.
+class GatedSource final : public dataflow::Source {
+ public:
+  explicit GatedSource(const std::atomic<bool>* release) : release_(release) {}
+  dataflow::SourcePoll Next() override {
+    if (next_ < 400) {
+      const int64_t i = next_++;
+      return dataflow::SourcePoll::Of(Record(
+          200 + i % 20, Value::Tuple("k" + std::to_string(i % 8), int64_t{1})));
+    }
+    if (!release_->load()) return dataflow::SourcePoll::Idle();
+    if (!flushed_) {
+      flushed_ = true;
+      return dataflow::SourcePoll::Wm(kMaxWatermark);
+    }
+    return dataflow::SourcePoll::End();
+  }
+
+ private:
+  const std::atomic<bool>* release_;
+  int64_t next_ = 0;
+  bool flushed_ = false;
+};
+
+TEST(EvoScopeJobTest, TimersPendingGaugeShowsOneTimerPerKeyAndDrains) {
+  std::atomic<bool> release{false};
+  dataflow::Topology topo;
+  auto src = topo.AddSource(
+      "src", [&release] { return std::make_unique<GatedSource>(&release); });
+  auto keyed = topo.KeyBy(src, "key", [](const Value& v) {
+    return v.AsList()[0];
+  });
+  auto window = topo.Keyed(keyed, "window", [] {
+    return std::make_unique<op::WindowOperator>(
+        std::make_shared<op::SlidingWindows>(100, 25),
+        op::WindowFunctions::Count());
+  });
+  dataflow::CollectingSink sink;
+  topo.Sink(window, "sink", sink.AsSinkFn());
+
+  dataflow::JobRunner runner(topo, dataflow::JobConfig{});
+  ASSERT_TRUE(runner.Start().ok());
+  for (int i = 0; i < 2000 && runner.RecordsIn()["window"] < 400; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(runner.RecordsIn()["window"], 400u);
+  // The barrier makes the window task recount its timers.
+  ASSERT_TRUE(runner.TriggerCheckpoint(15000).ok());
+  runner.PublishMetrics();
+  std::string text = obs::ToPrometheusText(*runner.metrics());
+  EXPECT_NE(text.find("task_timers_pending{subtask=\"0\",vertex=\"window\"}"),
+            std::string::npos);
+  Gauge* pending = runner.metrics()->GetGauge(
+      obs::TaskMetricName("task_timers_pending", "window", 0));
+  // Each key's records share one pane, inside 4 sliding windows that fire
+  // one after another from a single pending timer.
+  EXPECT_EQ(pending->Value(), 8.0);
+
+  release = true;
+  ASSERT_TRUE(runner.AwaitCompletion(30000).ok());
+  runner.PublishMetrics();
+  EXPECT_EQ(pending->Value(), 0.0);
+  runner.Stop();
+  EXPECT_EQ(sink.Count(), 32u);
+}
 
 TEST(EvoScopeJobTest, MarkersAndRuntimeMetricsFlowThroughPipeline) {
   dataflow::ReplayableLog log;

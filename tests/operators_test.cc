@@ -1,8 +1,9 @@
 // Tests for the operators module: sliding-window aggregation algorithms
 // (property: every algorithm agrees with the naive baseline across a
 // parameter sweep), window assigners, the WindowOperator end-to-end through
-// the dataflow engine (tumbling/sliding/session/count/late-data), joins, and
-// the vectorized kernels.
+// the dataflow engine (tumbling/sliding/session/count/late-data), the
+// WindowOperator's slice store and timers driven directly, joins, and the
+// vectorized kernels.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,8 @@
 #include "operators/sliding_algorithms.h"
 #include "operators/vectorized.h"
 #include "operators/window.h"
+#include "state/mem_backend.h"
+#include "time/timer_service.h"
 
 namespace evo::op {
 namespace {
@@ -302,6 +305,172 @@ TEST(WindowOperatorTest, LateRecordsGoToSideOutput) {
       EXPECT_EQ(r.payload.AsList()[2].AsInt(), 100);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Window operators driven directly (no threads): slices, timers, late side
+// output
+// ---------------------------------------------------------------------------
+
+class CollectingCollector final : public dataflow::Collector {
+ public:
+  void Emit(Record record) override { out.push_back(std::move(record)); }
+  void EmitSide(const std::string& tag, Record record) override {
+    side.emplace_back(tag, std::move(record));
+  }
+  std::vector<Record> out;
+  std::vector<std::pair<std::string, Record>> side;
+};
+
+// Hosts one operator as a task does: keyed backend, timers, and watermarks
+// that fire due event-time timers.
+struct DirectHarness {
+  explicit DirectHarness(std::unique_ptr<dataflow::Operator> o)
+      : state(&backend),
+        timers(&clock),
+        ctx(&state, &timers, nullptr, 0, 1, &clock),
+        op(std::move(o)) {}
+
+  Status Open() { return op->Open(&ctx); }
+  Status Add(size_t input, TimeMs ts, uint64_t key, Value payload) {
+    Record r(ts, key, std::move(payload));
+    state.SetCurrentKey(key);
+    return op->ProcessRecordFrom(input, r, &out);
+  }
+  Status Watermark(TimeMs wm) {
+    Status st = Status::OK();
+    timers.OnWatermark(wm, [&](const time::Timer& t) {
+      if (!st.ok()) return;
+      state.SetCurrentKey(t.key);
+      st = op->OnTimer(t, &out);
+    });
+    return st;
+  }
+
+  ManualClock clock;
+  state::MemBackend backend;
+  state::StateContext state;
+  time::TimerService timers;
+  dataflow::OperatorContext ctx;
+  std::unique_ptr<dataflow::Operator> op;
+  CollectingCollector out;
+};
+
+TEST(WindowOperatorTest, NoOrNegativeEventTimeGoesToLateOutput) {
+  // Windows start at 0: kNoTimestamp and negative times are in no window.
+  // (Before, kNoTimestamp skipped the lateness check and overflowed in
+  // SlidingWindows::Assign, and -1 was truncated into [0, 100).)
+  std::vector<std::shared_ptr<WindowAssigner>> assigners = {
+      std::make_shared<TumblingWindows>(100),
+      std::make_shared<SlidingWindows>(100, 30),
+      std::make_shared<SessionWindows>(50)};
+  for (const auto& assigner : assigners) {
+    DirectHarness h(std::make_unique<WindowOperator>(
+        assigner, WindowFunctions::Count()));
+    ASSERT_TRUE(h.Open().ok());
+    for (TimeMs ts : {kNoTimestamp, TimeMs{-1}, TimeMs{-250}}) {
+      ASSERT_TRUE(h.Add(0, ts, 7, Value(int64_t{1})).ok());
+    }
+    ASSERT_TRUE(h.Add(0, 5, 7, Value(int64_t{1})).ok());
+    ASSERT_TRUE(h.Watermark(kMaxWatermark).ok());
+    ASSERT_EQ(h.out.side.size(), 3u);
+    for (const auto& [tag, r] : h.out.side) {
+      EXPECT_EQ(tag, "late");
+      EXPECT_LT(r.event_time, 0);
+    }
+    ASSERT_FALSE(h.out.out.empty());
+    for (const Record& r : h.out.out) {
+      EXPECT_GE(r.payload.AsList()[0].AsInt(), 0);  // window start
+      EXPECT_EQ(r.payload.AsList()[2].AsInt(), 1);  // only the ts=5 record
+    }
+    EXPECT_EQ(h.backend.ApproxEntryCount(), 0u);
+  }
+  EXPECT_TRUE(TumblingWindows(100).Assign(-1).empty());
+  EXPECT_TRUE(SlidingWindows(100, 30).Assign(kNoTimestamp).empty());
+
+  DirectHarness join(std::make_unique<WindowJoinOperator>(
+      100, [](const Value& l, const Value& r) { return Value::Tuple(l, r); }));
+  ASSERT_TRUE(join.Open().ok());
+  ASSERT_TRUE(join.Add(0, -1, 7, Value("L")).ok());
+  ASSERT_TRUE(join.Add(1, kNoTimestamp, 7, Value("R")).ok());
+  ASSERT_TRUE(join.Watermark(kMaxWatermark).ok());
+  EXPECT_EQ(join.out.side.size(), 2u);
+  EXPECT_TRUE(join.out.out.empty());
+  EXPECT_EQ(join.backend.ApproxEntryCount(), 0u);
+}
+
+TEST(WindowOperatorTest, ContentsInSliceThenArrivalOrder) {
+  // Sliding 100/25: panes of 25 ms. Window [0, 100) sees pane [0, 25) in
+  // arrival order, then [25, 50), then [50, 75).
+  auto ids = [](uint64_t, const Window&, const std::vector<Value>& c) {
+    return Value(ValueList(c));
+  };
+  DirectHarness h(std::make_unique<WindowOperator>(
+      std::make_shared<SlidingWindows>(100, 25), ids));
+  ASSERT_TRUE(h.Open().ok());
+  for (TimeMs ts : {60, 12, 55, 30, 10}) {
+    ASSERT_TRUE(h.Add(0, ts, 7, Value(int64_t{ts})).ok());
+  }
+  ASSERT_TRUE(h.Watermark(99).ok());
+  ASSERT_EQ(h.out.out.size(), 1u);
+  std::vector<int64_t> got;
+  for (const Value& v : h.out.out[0].payload.AsList()[2].AsList()) {
+    got.push_back(v.AsInt());
+  }
+  EXPECT_EQ(got, (std::vector<int64_t>{12, 10, 30, 60, 55}));
+}
+
+TEST(WindowOperatorTest, OnePendingTimerPerKeyAndPanesFreedAfterFiring) {
+  // Sliding 1000/250: a key's records in 4 panes share one pending timer,
+  // at the end of the earliest window; each record is stored once.
+  DirectHarness h(std::make_unique<WindowOperator>(
+      std::make_shared<SlidingWindows>(1000, 250), WindowFunctions::Count()));
+  ASSERT_TRUE(h.Open().ok());
+  for (TimeMs ts : {900, 100, 600, 350, 120}) {
+    ASSERT_TRUE(h.Add(0, ts, 7, Value(int64_t{1})).ok());
+  }
+  EXPECT_EQ(h.timers.event_timers().size(), 1u);
+  EXPECT_EQ(h.timers.event_timers().NextDeadline(), 999);
+  // 5 records + 4 pane metas, not one copy per overlapping window.
+  EXPECT_EQ(h.backend.ApproxEntryCount(), 9u);
+
+  // Firing [0, 1000) frees pane [0, 250) and arms [250, 1250).
+  ASSERT_TRUE(h.Watermark(999).ok());
+  ASSERT_EQ(h.out.out.size(), 1u);
+  EXPECT_EQ(h.out.out[0].payload.AsList()[2].AsInt(), 5);
+  EXPECT_EQ(h.backend.ApproxEntryCount(), 6u);
+  EXPECT_EQ(h.timers.event_timers().size(), 1u);
+  EXPECT_EQ(h.timers.event_timers().NextDeadline(), 1249);
+
+  ASSERT_TRUE(h.Watermark(kMaxWatermark).ok());
+  std::vector<int64_t> counts;
+  for (const Record& r : h.out.out) {
+    counts.push_back(r.payload.AsList()[2].AsInt());
+  }
+  // [0,1000) 5, [250,1250) 3, [500,1500) 2, [750,1750) 1.
+  EXPECT_EQ(counts, (std::vector<int64_t>{5, 3, 2, 1}));
+  EXPECT_EQ(h.backend.ApproxEntryCount(), 0u);
+  EXPECT_TRUE(h.timers.event_timers().empty());
+}
+
+TEST(WindowOperatorTest, PurgingTriggerRejectedOnOverlappingWindows) {
+  auto purge = std::make_shared<CountTrigger>(3, false, /*purge_on_fire=*/true);
+  DirectHarness sliding(std::make_unique<WindowOperator>(
+      std::make_shared<SlidingWindows>(100, 50), WindowFunctions::Count(),
+      purge));
+  EXPECT_EQ(sliding.Open().code(), StatusCode::kInvalidArgument);
+
+  // Tumbling windows do not share panes: purge stays supported.
+  DirectHarness tumbling(std::make_unique<WindowOperator>(
+      std::make_shared<TumblingWindows>(100), WindowFunctions::Count(),
+      purge));
+  ASSERT_TRUE(tumbling.Open().ok());
+  for (TimeMs ts = 0; ts < 7; ++ts) {
+    ASSERT_TRUE(tumbling.Add(0, ts, 7, Value(int64_t{1})).ok());
+  }
+  ASSERT_EQ(tumbling.out.out.size(), 2u);
+  EXPECT_EQ(tumbling.out.out[1].payload.AsList()[2].AsInt(), 3);
+  EXPECT_EQ(tumbling.backend.ApproxEntryCount(), 2u);  // 1 record + meta
 }
 
 // ---------------------------------------------------------------------------
