@@ -8,7 +8,8 @@
 //    p99 here is queueing-dominated and reported for completeness), and
 //  - a low-rate latency probe (forward edge, throttled producer) where p99
 //    isolates the per-record path cost plus the staging wait, bounded by
-//    the same 500us linger rule the task data plane applies.
+//    a 500us linger. The batch sizes and the linger belong to this
+//    benchmark's producer loop; engine tasks push each element unbatched.
 //
 // Bar (DESIGN.md): ring at batch 64 >= 3x mutex single-edge throughput;
 // ring at batch 1 no slower than mutex.
@@ -250,7 +251,8 @@ EdgeResult RunExchange(Exchange mode, size_t n, size_t batch) {
 
 // Low-rate probe: one record every `period_ns`, so p99 isolates path cost
 // plus staging wait. Staged batches flush when full or when the oldest
-// staged element is older than the 500us linger, mirroring the task.
+// staged element is older than the 500us linger (this benchmark's own rule;
+// engine tasks do not stage).
 template <typename Ch>
 double RunLowRate(size_t n, size_t batch, int64_t period_ns) {
   Ch ch(1024);

@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Repo verification: tier-1 build + full test suite, then the EvoBench
 # benchmark's own tests built against the engine sources, an ASan/UBSan
-# build of the EvoScope-facing, keyed-state and windowing suites (obs,
-# dataflow, integration, state, operators, window_diff) to catch races/UB
-# the release build hides, and a TSan build of the data-plane suites
-# (channel ring buffer, task loops, stress tests) to catch ordering bugs in
-# the lock-free paths.
+# build of the data-plane, EvoScope-facing, keyed-state and windowing suites
+# (channel, obs, dataflow, integration, state, operators, window_diff) to
+# catch memory errors/UB the release build hides, and a TSan build of the
+# data-plane suites (channel ring buffer, task loops, stress tests) to catch
+# ordering bugs in the lock-free paths.
 #
 # Usage: scripts/check.sh [--fast]
 #   --fast   skip the chaos and sanitizer stages
@@ -97,20 +97,22 @@ for t in channel_test dataflow_test concurrency_test; do
   ./build-tsan/tests/"$t"
 done
 
-echo "=== asan/ubsan: configure + build obs-facing tests ==="
+echo "=== asan/ubsan: configure + build data-plane and obs-facing tests ==="
 SAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -g -O1"
 cmake -B build-asan -S . \
   -DCMAKE_BUILD_TYPE=Debug \
   -DCMAKE_CXX_FLAGS="$SAN_FLAGS" \
   -DCMAKE_EXE_LINKER_FLAGS="$SAN_FLAGS" >/dev/null
 cmake --build build-asan -j"$(nproc)" \
-  --target obs_test dataflow_test integration_test introspection_test \
-           state_test state_diff_test operators_test window_diff_test
+  --target channel_test obs_test dataflow_test integration_test \
+           introspection_test state_test state_diff_test operators_test \
+           window_diff_test
 
 echo "=== asan/ubsan: run ==="
 export ASAN_OPTIONS=detect_leaks=0   # tests intentionally leak-free-ish; races/UB are the target
-for t in obs_test dataflow_test integration_test introspection_test \
-         state_test state_diff_test operators_test window_diff_test; do
+for t in channel_test obs_test dataflow_test integration_test \
+         introspection_test state_test state_diff_test operators_test \
+         window_diff_test; do
   echo "--- $t ---"
   ./build-asan/tests/"$t"
 done

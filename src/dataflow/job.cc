@@ -1,11 +1,15 @@
 #include "dataflow/job.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 #include "obs/exporters.h"
 
 namespace evo::dataflow {
+
+namespace {
+/// Feedback channels get a large capacity so cycles cannot deadlock on
+/// backpressure (the engine's stand-in for spillable feedback buffers).
+constexpr size_t kFeedbackChannelCapacity = 1 << 20;
+}  // namespace
 
 void JobSnapshot::EncodeTo(BinaryWriter* w) const {
   w->WriteU64(checkpoint_id);
@@ -73,7 +77,6 @@ JobRunner::JobRunner(const Topology& topology, JobConfig config)
 
   // EvoScope Live: journal + queryable-state registry.
   obs::JournalOptions jopts;
-  jopts.capacity = config_.journal_capacity;
   jopts.jsonl_path = config_.journal_file;
   jopts.clock = config_.clock;
   journal_ = std::make_unique<obs::EventJournal>(jopts);
@@ -83,9 +86,6 @@ JobRunner::JobRunner(const Topology& topology, JobConfig config)
                    : &owned_queryable_;
   runtime_.journal = journal_.get();
   runtime_.queryable = queryable_;
-  runtime_.watermark_stall_threshold_ms = config_.watermark_stall_threshold_ms;
-  runtime_.channel_batch_size = std::max<uint32_t>(config_.channel_batch_size, 1);
-  runtime_.channel_batch_linger_us = config_.channel_batch_linger_us;
 }
 
 JobRunner::~JobRunner() { Stop(); }
@@ -136,7 +136,7 @@ Status JobRunner::Start(const JobSnapshot* restore_from) {
       gate.feedback = tracker;
       gate.downstream_max_parallelism = config_.max_parallelism;
       for (uint32_t down = 0; down < to.parallelism; ++down) {
-        size_t capacity = edge.feedback ? config_.feedback_channel_capacity
+        size_t capacity = edge.feedback ? kFeedbackChannelCapacity
                                         : config_.channel_capacity;
         channels_.push_back(std::make_unique<Channel>(capacity));
         Channel* ch = channels_.back().get();
@@ -196,10 +196,6 @@ Status JobRunner::Start(const JobSnapshot* restore_from) {
         "task_records_out", task->vertex(), task->subtask()));
     g.busy_ratio = metrics_.GetGauge(
         obs::TaskMetricName("task_busy_ratio", task->vertex(), task->subtask()));
-    g.staged = metrics_.GetGauge(obs::TaskMetricName(
-        "task_staged_elements", task->vertex(), task->subtask()));
-    g.inbox = metrics_.GetGauge(obs::TaskMetricName(
-        "task_inbox_elements", task->vertex(), task->subtask()));
     g.timers_pending = metrics_.GetGauge(obs::TaskMetricName(
         "task_timers_pending", task->vertex(), task->subtask()));
     task_gauges_.push_back(g);
@@ -225,9 +221,6 @@ Status JobRunner::Start(const JobSnapshot* restore_from) {
     opts.interval_ms = config_.metrics_report_interval_ms;
     reporter_ = std::make_unique<obs::MetricsReporter>(&metrics_, opts);
     reporter_->SetPreCollect([this] { PublishMetrics(); });
-    if (config_.report_to_stderr) {
-      reporter_->AddSink(std::make_unique<obs::LogSink>());
-    }
     if (!config_.report_file.empty()) {
       reporter_->AddSink(std::make_unique<obs::FileSink>(config_.report_file));
     }
@@ -293,8 +286,6 @@ std::string JobRunner::BuildTopologyJson() const {
   out += config_.checkpoint_mode == CheckpointMode::kAligned ? "aligned"
                                                              : "unaligned";
   out += "\",\"max_parallelism\":" + std::to_string(config_.max_parallelism) +
-         ",\"channel_batch_size\":" +
-         std::to_string(std::max<uint32_t>(config_.channel_batch_size, 1)) +
          "}";
   return out;
 }
@@ -332,6 +323,10 @@ void JobRunner::Stop() {
   if (introspection_ != nullptr) introspection_->Stop();
   // Reporter next: its final tick reads the tasks while they still exist.
   if (reporter_ != nullptr) reporter_->Stop();
+  // Passing through mu_ orders the stopping_ store before any waiter's next
+  // predicate check, so the wake-up below cannot fall between its check and
+  // its wait.
+  { std::lock_guard<std::mutex> lock(mu_); }
   checkpoint_cv_.notify_all();  // wake the coordinator out of any wait
   for (auto& task : tasks_) task->Cancel();
   for (auto& channel : channels_) channel->Close();
@@ -433,10 +428,16 @@ void JobRunner::OnTaskSnapshot(uint64_t checkpoint_id, TaskSnapshot snapshot) {
 }
 
 void JobRunner::CoordinatorLoop() {
-  while (!stopping_.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(config_.checkpoint_interval_ms));
-    if (stopping_.load(std::memory_order_acquire)) return;
+  while (true) {
+    {
+      // Stop() notifies checkpoint_cv_, so it never waits out the interval.
+      std::unique_lock<std::mutex> lock(mu_);
+      if (checkpoint_cv_.wait_for(
+              lock, std::chrono::milliseconds(config_.checkpoint_interval_ms),
+              [this] { return stopping_.load(std::memory_order_acquire); })) {
+        return;
+      }
+    }
     bool any_finished = false;
     for (const auto& task : tasks_) any_finished |= task->finished();
     if (any_finished) return;  // job draining: stop checkpointing
@@ -505,8 +506,6 @@ void JobRunner::PublishMetrics() {
     g.records_in->Set(static_cast<double>(task.RecordsIn()));
     g.records_out->Set(static_cast<double>(task.RecordsOut()));
     g.busy_ratio->Set(task.BusyRatio());
-    g.staged->Set(static_cast<double>(task.StagedElements()));
-    g.inbox->Set(static_cast<double>(task.InboxElements()));
     g.timers_pending->Set(static_cast<double>(task.TimersPending()));
   }
   {

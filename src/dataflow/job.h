@@ -54,18 +54,6 @@ struct JobConfig {
   /// Source latency-marker period; 0 disables markers.
   int64_t latency_marker_interval_ms = 0;
   size_t channel_capacity = 1024;
-  /// Data-plane emit batch size: each task stages up to this many records
-  /// per target channel and flushes them with one ring-buffer operation.
-  /// Records are never held past a watermark/barrier/end-of-stream boundary,
-  /// an input-idle moment, or `channel_batch_linger_us`. The default of 1
-  /// keeps the unbatched (push-per-record) behaviour.
-  uint32_t channel_batch_size = 1;
-  /// Latency guard: max microseconds a staged record may wait for its batch
-  /// to fill while the task stays busy.
-  int64_t channel_batch_linger_us = 500;
-  /// Feedback channels get a large capacity so cycles cannot deadlock on
-  /// backpressure (the engine's stand-in for spillable feedback buffers).
-  size_t feedback_channel_capacity = 1 << 20;
   uint32_t max_parallelism = KeyGroup::kDefaultMaxParallelism;
   /// Creates the keyed state backend for each (vertex, subtask). Defaults to
   /// MemBackend.
@@ -80,8 +68,6 @@ struct JobConfig {
   // --- EvoScope reporting ---
   /// Background metrics-report period; 0 disables the reporter thread.
   int64_t metrics_report_interval_ms = 0;
-  /// With the reporter enabled, log each report to stderr (Prometheus text).
-  bool report_to_stderr = false;
   /// With the reporter enabled, also write each report to this path
   /// (".json" extension selects the JSON snapshot format).
   std::string report_file;
@@ -93,16 +79,11 @@ struct JobConfig {
   /// (read the bound port via JobRunner::IntrospectionPort()).
   int introspection_port = -1;
   std::string introspection_bind = "127.0.0.1";
-  /// Event-journal ring capacity (events retained).
-  size_t journal_capacity = 4096;
   /// When non-empty, the journal also appends every event to this JSONL file.
   std::string journal_file;
   /// Route WARN/ERROR log lines into the journal (installs the process-wide
   /// logging hook for the lifetime of this runner).
   bool journal_capture_logs = false;
-  /// Emit a watermark-stall journal event when a task's watermark has not
-  /// advanced for this long while inputs remain open (0 = disabled).
-  int64_t watermark_stall_threshold_ms = 0;
   /// Queryable-state registry tasks publish into. Defaults to a registry
   /// owned by the runner; pass one to share it across runners (rescaling).
   /// Not owned; must outlive the runner.
@@ -205,11 +186,6 @@ class JobRunner {
     Gauge* records_in = nullptr;
     Gauge* records_out = nullptr;
     Gauge* busy_ratio = nullptr;
-    /// Elements staged in output batch buffers / popped into inboxes but
-    /// not yet processed — queued work the channel depth gauges cannot see
-    /// (up to ~2*channel_batch_size per edge).
-    Gauge* staged = nullptr;
-    Gauge* inbox = nullptr;
     /// Pending timers as of the task's last watermark or checkpoint.
     Gauge* timers_pending = nullptr;
   };

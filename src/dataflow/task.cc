@@ -171,21 +171,6 @@ void Task::Start() {
   input_ended_.assign(inputs_.size(), false);
   input_blocked_.assign(inputs_.size(), false);
   barrier_from_input_.assign(inputs_.size(), false);
-  const uint32_t batch = std::max<uint32_t>(runtime_->channel_batch_size, 1);
-  stage_.clear();
-  staged_elements_.store(0, std::memory_order_relaxed);
-  inbox_backlog_.store(0, std::memory_order_relaxed);
-  if (batch > 1) {
-    stage_.resize(outputs_.size());
-    for (size_t g = 0; g < outputs_.size(); ++g) {
-      stage_[g].resize(outputs_[g].channels.size());
-      for (auto& buf : stage_[g]) buf.reserve(batch);
-    }
-  }
-  inbox_.assign(inputs_.size(), {});
-  inbox_pos_.assign(inputs_.size(), 0);
-  inbox_size_.assign(inputs_.size(), 0);
-  for (auto& buf : inbox_) buf.resize(batch);
   size_t wm_inputs = 0;
   for (const InputChannel& in : inputs_) {
     if (!in.is_feedback()) ++wm_inputs;
@@ -260,7 +245,6 @@ Status Task::RunSourceLoop() {
         Stopwatch busy;
         ++records_in_;
         EmitRecordDownstream(std::move(poll.record));
-        MaybeFlushOnLinger();
         busy_nanos_ += busy.ElapsedNanos();
         break;
       }
@@ -271,7 +255,6 @@ Status Task::RunSourceLoop() {
         BroadcastControl(poll.control);
         break;
       case SourcePoll::Kind::kIdle:
-        FlushOutputs();  // source idle: don't sit on staged records
         runtime_->clock->SleepMs(1);
         break;
       case SourcePoll::Kind::kEnd:
@@ -326,36 +309,25 @@ Status Task::RunOperatorLoop() {
   // States are registered by Open (and restore); export them for external
   // point queries / scans. Later-registered states stay private.
   PublishQueryableState();
-  wm_last_advance_.Reset();
 
   size_t cursor = 0;
   while (!cancelled_.load(std::memory_order_acquire)) {
     if (failed_.load(std::memory_order_acquire)) {
       return Status::Aborted("injected failure");
     }
+    // One element per unblocked, unended input per sweep, round-robin from
+    // `cursor`. An aligned barrier sets input_blocked_, so the rest of that
+    // input stays in its channel until alignment completes.
     bool progressed = false;
     for (size_t n = 0; n < inputs_.size(); ++n) {
       size_t i = (cursor + n) % inputs_.size();
       if (input_ended_[i] || input_blocked_[i]) continue;
-      if (inbox_pos_[i] >= inbox_size_[i] && !RefillInbox(i)) continue;
-      // Consume the popped batch one element at a time: an aligned barrier
-      // mid-batch sets input_blocked_, and the remainder stays buffered here
-      // until alignment completes (exactly the semantics of leaving it in
-      // the channel).
-      while (inbox_pos_[i] < inbox_size_[i] && !input_blocked_[i] &&
-             !input_ended_[i]) {
-        progressed = true;
-        inbox_backlog_.fetch_sub(1, std::memory_order_relaxed);
-        EVO_RETURN_IF_ERROR(
-            HandleElement(i, std::move(inbox_[i][inbox_pos_[i]++])));
-        // A full sweep can run inputs*batch elements; with slow operators
-        // that dwarfs the linger deadline, so re-check it every few
-        // elements rather than only once per sweep.
-        if ((inbox_pos_[i] & 7) == 0) MaybeFlushOnLinger();
-      }
+      StreamElement element;
+      if (inputs_[i].channel->PopBatch(&element, 1) == 0) continue;
+      progressed = true;
+      EVO_RETURN_IF_ERROR(HandleElement(i, std::move(element)));
     }
     cursor = (cursor + 1) % std::max<size_t>(inputs_.size(), 1);
-    MaybeFlushOnLinger();
 
     EVO_RETURN_IF_ERROR(PollProcessingTimers());
 
@@ -397,41 +369,12 @@ Status Task::RunOperatorLoop() {
       }
     }
     if (!progressed) {
-      FlushOutputs();  // input idle: don't sit on staged records
-      MaybeReportWatermarkStall();
       // Nothing to do: yield briefly. Use the coarse clock sleep so manual
       // clocks in tests advance.
       std::this_thread::sleep_for(std::chrono::microseconds(100));
     }
   }
   return Status::OK();
-}
-
-bool Task::RefillInbox(size_t input_index) {
-  std::vector<StreamElement>& buf = inbox_[input_index];
-  size_t got =
-      inputs_[input_index].channel->PopBatch(buf.data(), buf.size());
-  inbox_pos_[input_index] = 0;
-  inbox_size_[input_index] = got;
-  inbox_backlog_.fetch_add(got, std::memory_order_relaxed);
-  return got > 0;
-}
-
-void Task::MaybeReportWatermarkStall() {
-  if (runtime_->journal == nullptr ||
-      runtime_->watermark_stall_threshold_ms <= 0 || !wm_seen_ ||
-      wm_stall_reported_ || AllInputsEnded()) {
-    return;
-  }
-  int64_t stalled_ms = wm_last_advance_.ElapsedMillis();
-  if (stalled_ms < runtime_->watermark_stall_threshold_ms) return;
-  wm_stall_reported_ = true;  // once per stall episode; cleared on advance
-  runtime_->journal->Emit(
-      obs::EventType::kWatermarkStall,
-      "task:" + vertex_ + "[" + std::to_string(subtask_) + "]",
-      "watermark has not advanced",
-      {obs::F("watermark", static_cast<int64_t>(last_combined_wm_)),
-       obs::F("stalled_ms", stalled_ms)});
 }
 
 // ---------------------------------------------------------------------------
@@ -525,10 +468,6 @@ Status Task::HandleWatermark(size_t input_index, TimeMs watermark) {
   if (!wm_tracker_->Update(wm_index, watermark, &combined)) {
     return Status::OK();
   }
-  wm_last_advance_.Reset();
-  last_combined_wm_ = combined;
-  wm_seen_ = true;
-  wm_stall_reported_ = false;
   if (wm_lag_probe_ != nullptr) wm_lag_probe_->Observe(combined);
   EVO_RETURN_IF_ERROR(FireEventTimers(combined));
   EVO_RETURN_IF_ERROR(op_->OnWatermark(combined, collector_.get()));
@@ -714,50 +653,10 @@ void Task::EmitTo(size_t gate_index, size_t target, StreamElement e) {
   if (gate.feedback != nullptr) {
     gate.feedback->in_flight.fetch_add(1, std::memory_order_acq_rel);
   }
-  if (stage_.empty()) {  // batching off: push straight through
-    gate.channels[target]->Push(std::move(e));
-    return;
-  }
-  std::vector<StreamElement>& buf = stage_[gate_index][target];
-  if (buf.empty() && staged_elements_.load(std::memory_order_relaxed) == 0) {
-    stage_oldest_.Reset();
-  }
-  buf.push_back(std::move(e));
-  staged_elements_.fetch_add(1, std::memory_order_relaxed);
-  if (buf.size() >= runtime_->channel_batch_size) {
-    FlushChannel(gate_index, target);
-  }
-}
-
-void Task::FlushChannel(size_t gate_index, size_t target) {
-  std::vector<StreamElement>& buf = stage_[gate_index][target];
-  if (buf.empty()) return;
-  staged_elements_.fetch_sub(buf.size(), std::memory_order_relaxed);
-  outputs_[gate_index].channels[target]->PushBatch(buf.data(), buf.size());
-  buf.clear();
-}
-
-void Task::FlushOutputs() {
-  if (stage_.empty() || staged_elements_.load(std::memory_order_relaxed) == 0) {
-    return;
-  }
-  for (size_t g = 0; g < stage_.size(); ++g) {
-    for (size_t t = 0; t < stage_[g].size(); ++t) FlushChannel(g, t);
-  }
-}
-
-void Task::MaybeFlushOnLinger() {
-  if (staged_elements_.load(std::memory_order_relaxed) == 0) return;
-  if (stage_oldest_.ElapsedNanos() >=
-      runtime_->channel_batch_linger_us * 1000) {
-    FlushOutputs();
-  }
+  gate.channels[target]->Push(std::move(e));
 }
 
 void Task::BroadcastControl(const StreamElement& e) {
-  // Control is ordered with respect to the data it describes: everything
-  // staged must reach the channels before the control element does.
-  FlushOutputs();
   for (OutputGate& gate : outputs_) {
     if (gate.feedback != nullptr) continue;  // control stays out of loops
     for (Channel* ch : gate.channels) ch->Push(e);
@@ -765,7 +664,6 @@ void Task::BroadcastControl(const StreamElement& e) {
 }
 
 void Task::ForwardLatencyMarker(const StreamElement& e) {
-  FlushOutputs();  // markers measure the pipeline, not the staging buffer
   // Source-to-here transit time: per-vertex operator latency.
   if (hist_marker_ms_ != nullptr && source_ == nullptr) {
     hist_marker_ms_->Record(
@@ -792,7 +690,6 @@ void Task::ForwardLatencyMarker(const StreamElement& e) {
 }
 
 void Task::EmitEndOfStream() {
-  FlushOutputs();
   for (OutputGate& gate : outputs_) {
     if (gate.feedback != nullptr) continue;  // loops quiesce via the tracker
     for (Channel* ch : gate.channels) ch->Push(StreamElement::EndOfStream());

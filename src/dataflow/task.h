@@ -103,18 +103,6 @@ struct TaskRuntime {
   /// state as "<vertex>.<subtask>.<state-name>" after Open and revoke their
   /// backend on teardown (may be null).
   state::QueryableStateRegistry* queryable = nullptr;
-  /// Emit a kWatermarkStall event when a task's combined watermark has not
-  /// advanced for this long while inputs are still open (0 = disabled).
-  int64_t watermark_stall_threshold_ms = 0;
-  /// Data-plane batch size: records are staged per target channel and
-  /// flushed in one ring operation once this many accumulate (or on a
-  /// watermark/barrier/end-of-stream boundary, input idle, or the linger
-  /// deadline). 1 = unbatched, the seed behaviour: every element is pushed
-  /// immediately.
-  uint32_t channel_batch_size = 1;
-  /// Upper bound on how long a staged record may wait for its batch to fill
-  /// while the task is otherwise busy (latency guard for trickle outputs).
-  int64_t channel_batch_linger_us = 500;
 };
 
 /// \brief A runnable parallel subtask.
@@ -186,19 +174,6 @@ class Task {
   uint64_t RecordsIn() const { return records_in_; }
   uint64_t RecordsOut() const { return records_out_; }
 
-  /// \brief Records staged in output batch buffers, not yet pushed to any
-  /// channel. These are invisible to Channel::Size()/Fullness(), so without
-  /// this signal the backpressure view undercounts each out-edge by up to
-  /// channel_batch_size elements. Exported as task_staged_elements.
-  size_t StagedElements() const {
-    return staged_elements_.load(std::memory_order_relaxed);
-  }
-  /// \brief Elements popped into per-input inboxes but not yet processed
-  /// (up to inputs * channel_batch_size); likewise invisible to channel
-  /// depth. Exported as task_inbox_elements.
-  size_t InboxElements() const {
-    return inbox_backlog_.load(std::memory_order_relaxed);
-  }
   /// \brief Pending event- and processing-time timers, as counted by the
   /// task thread at its last watermark or checkpoint (the reporter never
   /// reads the timer queues). Exported as task_timers_pending.
@@ -214,7 +189,6 @@ class Task {
   Status RunSourceLoop();
   Status RunOperatorLoop();
   void PublishQueryableState();
-  void MaybeReportWatermarkStall();
 
   Status HandleElement(size_t input_index, StreamElement element);
   Status HandleRecord(size_t ordinal, Record record);
@@ -228,10 +202,6 @@ class Task {
 
   void EmitRecordDownstream(Record record);
   void EmitTo(size_t gate_index, size_t target, StreamElement e);
-  void FlushChannel(size_t gate_index, size_t target);
-  void FlushOutputs();
-  void MaybeFlushOnLinger();
-  bool RefillInbox(size_t input_index);
   void BroadcastControl(const StreamElement& e);
   void ForwardLatencyMarker(const StreamElement& e);
   void EmitEndOfStream();
@@ -255,24 +225,6 @@ class Task {
   std::vector<InputChannel> inputs_;
   std::vector<OutputGate> outputs_;
 
-  // --- Batched data plane (channel_batch_size > 1) ---
-  // Staged and inbox elements sit outside the channels, so per-edge depth/
-  // fullness gauges undercount queued work by up to ~2*channel_batch_size
-  // per edge. The totals are kept in relaxed atomics (written only by the
-  // task thread) and exported per task so planners are not blind to them.
-  /// Per-gate, per-target-channel staging buffers; records accumulate here
-  /// and are flushed with one ring PushBatch. Empty when batching is off.
-  std::vector<std::vector<std::vector<StreamElement>>> stage_;
-  /// Total staged across all buffers.
-  std::atomic<size_t> staged_elements_{0};
-  Stopwatch stage_oldest_;       ///< armed when the first element is staged
-  /// Per-input pop buffers: elements arrive in ring batches and are consumed
-  /// one at a time (so aligned-barrier blocking still stops mid-batch).
-  std::vector<std::vector<StreamElement>> inbox_;
-  std::vector<size_t> inbox_pos_;
-  std::vector<size_t> inbox_size_;
-  /// Total popped-but-unprocessed elements across all inboxes.
-  std::atomic<size_t> inbox_backlog_{0};
   /// Timer-queue sizes, refreshed by the task thread (CountTimers).
   std::atomic<size_t> timers_pending_{0};
   std::unique_ptr<time::WatermarkTracker> wm_tracker_;
@@ -289,12 +241,6 @@ class Task {
   bool feedback_quiet_ = false;
   Stopwatch feedback_quiet_since_;
   TimeMs last_marker_ms_ = 0;
-
-  // Watermark stall detection (journal only; see TaskRuntime).
-  Stopwatch wm_last_advance_;
-  TimeMs last_combined_wm_ = 0;
-  bool wm_seen_ = false;
-  bool wm_stall_reported_ = false;
   std::atomic<bool> queryable_revoked_{false};
   size_t queryable_published_ = 0;  ///< state names already exported
 

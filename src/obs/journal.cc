@@ -13,7 +13,6 @@ const char* EventTypeName(EventType type) {
     case EventType::kCheckpointTriggered: return "checkpoint_triggered";
     case EventType::kCheckpointCompleted: return "checkpoint_completed";
     case EventType::kCheckpointFailed: return "checkpoint_failed";
-    case EventType::kWatermarkStall: return "watermark_stall";
     case EventType::kBackpressureOn: return "backpressure_on";
     case EventType::kBackpressureOff: return "backpressure_off";
     case EventType::kShedDecision: return "shed_decision";

@@ -40,7 +40,6 @@ enum class EventType : uint8_t {
   kCheckpointTriggered,
   kCheckpointCompleted,
   kCheckpointFailed,
-  kWatermarkStall,
   kBackpressureOn,
   kBackpressureOff,
   kShedDecision,

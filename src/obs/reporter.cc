@@ -7,14 +7,6 @@
 
 namespace evo::obs {
 
-void LogSink::Report(const MetricsRegistry& registry) {
-  std::FILE* out = out_ != nullptr ? out_ : stderr;
-  std::string text = ToPrometheusText(registry);
-  std::fprintf(out, "--- evoscope metrics ---\n%s--- end metrics ---\n",
-               text.c_str());
-  std::fflush(out);
-}
-
 void FileSink::Report(const MetricsRegistry& registry) {
   bool json = path_.size() >= 5 &&
               path_.compare(path_.size() - 5, 5, ".json") == 0;

@@ -6,12 +6,11 @@
 /// A MetricsReporter owns a thread that periodically (1) invokes an optional
 /// pre-collect hook — the JobRunner uses it to refresh poll-based gauges
 /// like channel depths — and (2) hands the registry to every sink. Sinks
-/// render whichever exposition they want; the built-ins write Prometheus
-/// text to a FILE* (stderr log sink) or rewrite a file atomically-enough
-/// for a scraper (file sink; `.json` paths get the JSON snapshot).
+/// render whichever exposition they want; the built-in file sink
+/// rewrites a file atomically-enough for a scraper (`.json` paths get the
+/// JSON snapshot, anything else Prometheus text).
 
 #include <condition_variable>
-#include <cstdio>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -29,17 +28,6 @@ class ReportSink {
  public:
   virtual ~ReportSink() = default;
   virtual void Report(const MetricsRegistry& registry) = 0;
-};
-
-/// \brief Writes the Prometheus exposition to a FILE* (default stderr),
-/// framed by a banner so interleaved logs stay greppable.
-class LogSink final : public ReportSink {
- public:
-  explicit LogSink(std::FILE* out = nullptr) : out_(out) {}
-  void Report(const MetricsRegistry& registry) override;
-
- private:
-  std::FILE* out_;  // nullptr = stderr at report time
 };
 
 /// \brief Rewrites `path` with a fresh snapshot each tick. Paths ending in

@@ -1,9 +1,9 @@
-// Tests for the batched data plane: ring-buffer channel semantics (batch
-// FIFO order, blocking backpressure, close-wakes-producers, MPMC stress with
-// concurrent lock-free metric reads) and emit batching through real
-// pipelines (hash/broadcast delivery, watermark and barrier flush ordering,
-// exactly-once across failure with batching enabled, and the backpressure
-// signals load shedding depends on surviving the ring rewrite).
+// Tests for the data plane: ring-buffer channel semantics (batch FIFO order,
+// blocking backpressure, close-wakes-producers, MPMC stress with concurrent
+// lock-free metric reads) and record/control ordering through real
+// pipelines (hash/broadcast delivery, watermark and barrier ordering,
+// exactly-once across failure, and the backpressure signals load shedding
+// depends on surviving the ring rewrite).
 
 #include <gtest/gtest.h>
 
@@ -274,7 +274,7 @@ TEST(BackpressureGuardTest, SaturatedRingStillDrivesShedPlanner) {
 }
 
 // ---------------------------------------------------------------------------
-// Emit batching through pipelines
+// Record/control ordering through pipelines
 // ---------------------------------------------------------------------------
 
 ReplayableLog MakeWordLog(int n, int distinct, uint64_t seed = 7) {
@@ -335,13 +335,12 @@ Topology CountTopology(const ReplayableLog* log, CollectingSink* sink) {
   return topo;
 }
 
-TEST(EmitBatchingTest, KeyedCountMatchesExactWithBatching) {
-  // Hash exchange at batch 64: all records must arrive despite end-of-input
-  // and idle moments landing mid-batch.
+TEST(DataPlaneOrderingTest, KeyedCountMatchesExact) {
+  // Hash exchange: every record must arrive despite end-of-input and idle
+  // moments.
   ReplayableLog log = MakeWordLog(5000, 37);
   CollectingSink sink;
   JobConfig config;
-  config.channel_batch_size = 64;
   JobRunner runner(CountTopology(&log, &sink), config);
   ASSERT_TRUE(runner.Start().ok());
   ASSERT_TRUE(runner.AwaitCompletion(20000).ok());
@@ -349,9 +348,9 @@ TEST(EmitBatchingTest, KeyedCountMatchesExactWithBatching) {
   EXPECT_EQ(FinalCounts(sink.Snapshot()), ExactCounts(log));
 }
 
-TEST(EmitBatchingTest, BroadcastDeliversEverywhereWithBatching) {
-  // Broadcast fan-out with staged batches: every subtask must see every
-  // record with an intact payload (guards the move-into-last-target emit).
+TEST(DataPlaneOrderingTest, BroadcastDeliversEverywhere) {
+  // Broadcast fan-out: every subtask must see every record with an intact
+  // payload (guards the move-into-last-target emit).
   ReplayableLog log;
   for (int i = 0; i < 100; ++i) log.Append(i, Value(int64_t{i}));
 
@@ -374,7 +373,6 @@ TEST(EmitBatchingTest, BroadcastDeliversEverywhereWithBatching) {
   topo.Sink(op, "sink", sink.AsSinkFn());
 
   JobConfig config;
-  config.channel_batch_size = 16;
   JobRunner runner(topo, config);
   ASSERT_TRUE(runner.Start().ok());
   ASSERT_TRUE(runner.AwaitCompletion(10000).ok());
@@ -393,10 +391,10 @@ TEST(EmitBatchingTest, BroadcastDeliversEverywhereWithBatching) {
   }
 }
 
-TEST(EmitBatchingTest, WatermarkFlushOrderingDrivesEventTimeTimers) {
-  // Watermarks must not overtake staged records: the timer at t=500 may
-  // only fire after every record with ts < 500 reached the operator, so an
-  // early watermark (records still staged upstream) would under-count.
+TEST(DataPlaneOrderingTest, WatermarkOrderingDrivesEventTimeTimers) {
+  // Watermarks must not overtake records: the timer at t=500 may only fire
+  // after every record with ts < 500 reached the operator, so an early
+  // watermark (records still queued upstream) would under-count.
   ReplayableLog log;
   for (int i = 0; i < 1000; ++i) {
     log.Append(i, Value::Tuple("k" + std::to_string(i % 3), int64_t{1}));
@@ -435,7 +433,6 @@ TEST(EmitBatchingTest, WatermarkFlushOrderingDrivesEventTimeTimers) {
   topo.Sink(op, "sink", sink.AsSinkFn());
 
   JobConfig config;
-  config.channel_batch_size = 64;  // larger than watermark_every on purpose
   JobRunner runner(topo, config);
   ASSERT_TRUE(runner.Start().ok());
   ASSERT_TRUE(runner.AwaitCompletion(10000).ok());
@@ -450,16 +447,15 @@ TEST(EmitBatchingTest, WatermarkFlushOrderingDrivesEventTimeTimers) {
   }
 }
 
-TEST(EmitBatchingTest, BarrierFlushOrderingExactlyOnceAcrossFailure) {
-  // Barriers must not overtake staged records either: a barrier slipping
-  // ahead of staged data would snapshot state that excludes records the
-  // rewound source will not replay (loss) or re-deliver staged records
-  // already counted (duplication). Checkpoint mid-run, crash, recover, and
-  // require exact counts — all with batching enabled.
+TEST(DataPlaneOrderingTest, BarrierOrderingExactlyOnceAcrossFailure) {
+  // Barriers must not overtake records either: a barrier slipping ahead of
+  // queued data would snapshot state that excludes records the rewound
+  // source will not replay (loss) or re-deliver records already counted
+  // (duplication). Checkpoint mid-run, crash, recover, and require exact
+  // counts.
   ReplayableLog log = MakeWordLog(50000, 23, 11);
   CollectingSink sink;
   JobConfig config;
-  config.channel_batch_size = 64;
 
   auto runner1 =
       std::make_unique<JobRunner>(CountTopology(&log, &sink), config);
@@ -480,33 +476,19 @@ TEST(EmitBatchingTest, BarrierFlushOrderingExactlyOnceAcrossFailure) {
   EXPECT_EQ(FinalCounts(sink.Snapshot()), ExactCounts(log));
 }
 
-TEST(EmitBatchingTest, PeriodicBarriersRaceBatchesAndStayExact) {
-  // Aligned barriers injected every few milliseconds while batches flush:
-  // alignment blocking an input mid-popped-batch must not drop the
-  // remainder of that batch.
+TEST(DataPlaneOrderingTest, PeriodicBarriersRaceRecordsAndStayExact) {
+  // Aligned barriers injected every few milliseconds while records flow:
+  // alignment blocking an input must leave the rest of that input queued,
+  // not drop it.
   ReplayableLog log = MakeWordLog(20000, 17, 13);
   CollectingSink sink;
   JobConfig config;
-  config.channel_batch_size = 32;
   config.checkpoint_interval_ms = 5;
   JobRunner runner(CountTopology(&log, &sink), config);
   ASSERT_TRUE(runner.Start().ok());
   ASSERT_TRUE(runner.AwaitCompletion(30000).ok());
   runner.Stop();
   EXPECT_EQ(FinalCounts(sink.Snapshot()), ExactCounts(log));
-}
-
-TEST(EmitBatchingTest, TopologyJsonSurfacesChannelBatchSize) {
-  ReplayableLog log = MakeWordLog(100, 5);
-  CollectingSink sink;
-  JobConfig config;
-  config.channel_batch_size = 8;
-  JobRunner runner(CountTopology(&log, &sink), config);
-  ASSERT_TRUE(runner.Start().ok());
-  EXPECT_NE(runner.TopologyJson().find("\"channel_batch_size\":8"),
-            std::string::npos);
-  ASSERT_TRUE(runner.AwaitCompletion(10000).ok());
-  runner.Stop();
 }
 
 }  // namespace

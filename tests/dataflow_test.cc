@@ -593,6 +593,22 @@ TEST(CheckpointTest, PeriodicCoordinatorProducesCheckpoints) {
   EXPECT_GE(last->checkpoint_id, 1u);
 }
 
+TEST(DataflowTest, StopDoesNotWaitOutCheckpointInterval) {
+  // An idle unbounded job with a long checkpoint interval: Stop() must wake
+  // the coordinator rather than join it once the interval has elapsed.
+  ReplayableLog log;
+  CollectingSink sink;
+  Topology topo = CountingTopology(&log, &sink, 1, /*end_at_eof=*/false);
+  JobConfig config;
+  config.checkpoint_interval_ms = 10000;
+  JobRunner runner(topo, config);
+  ASSERT_TRUE(runner.Start().ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  Stopwatch stop_watch;
+  runner.Stop();
+  EXPECT_LT(stop_watch.ElapsedMillis(), 1000);
+}
+
 // ---------------------------------------------------------------------------
 // Cycles
 // ---------------------------------------------------------------------------
