@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Repo verification: tier-1 build + full test suite, then the EvoBench
 # benchmark's own tests built against the engine sources, an ASan/UBSan
-# build of the data-plane, EvoScope-facing, keyed-state and windowing suites
-# (channel, obs, dataflow, integration, state, operators, window_diff) to
-# catch memory errors/UB the release build hides, and a TSan build of the
-# data-plane suites (channel ring buffer, task loops, stress tests) to catch
-# ordering bugs in the lock-free paths.
+# build of the data-plane, EvoScope-facing, keyed-state, LSM and windowing
+# suites (channel, obs, dataflow, integration, state, lsm, lsm_crash,
+# operators, window_diff) to catch memory errors/UB the release build hides,
+# and a TSan build of the data-plane suites (channel ring buffer, task
+# loops, stress tests) to catch ordering bugs in the lock-free paths.
 #
 # Usage: scripts/check.sh [--fast]
 #   --fast   skip the chaos and sanitizer stages
@@ -97,7 +97,7 @@ for t in channel_test dataflow_test concurrency_test; do
   ./build-tsan/tests/"$t"
 done
 
-echo "=== asan/ubsan: configure + build data-plane and obs-facing tests ==="
+echo "=== asan/ubsan: configure + build data-plane, obs-facing and state tests ==="
 SAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -g -O1"
 cmake -B build-asan -S . \
   -DCMAKE_BUILD_TYPE=Debug \
@@ -106,13 +106,13 @@ cmake -B build-asan -S . \
 cmake --build build-asan -j"$(nproc)" \
   --target channel_test obs_test dataflow_test integration_test \
            introspection_test state_test state_diff_test operators_test \
-           window_diff_test
+           window_diff_test lsm_test lsm_crash_test
 
 echo "=== asan/ubsan: run ==="
 export ASAN_OPTIONS=detect_leaks=0   # tests intentionally leak-free-ish; races/UB are the target
 for t in channel_test obs_test dataflow_test integration_test \
          introspection_test state_test state_diff_test operators_test \
-         window_diff_test; do
+         window_diff_test lsm_test lsm_crash_test; do
   echo "--- $t ---"
   ./build-asan/tests/"$t"
 done

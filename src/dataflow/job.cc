@@ -369,7 +369,7 @@ bool JobRunner::WaitCheckpoint(uint64_t id, int64_t timeout_ms,
       last_completed_->checkpoint_id < id) {
     return false;
   }
-  *out = *last_completed_;
+  if (out != nullptr) *out = *last_completed_;
   return true;
 }
 
@@ -442,8 +442,7 @@ void JobRunner::CoordinatorLoop() {
     for (const auto& task : tasks_) any_finished |= task->finished();
     if (any_finished) return;  // job draining: stop checkpointing
     uint64_t id = BeginCheckpoint();
-    JobSnapshot ignored;
-    if (!WaitCheckpoint(id, /*timeout_ms=*/30000, &ignored) &&
+    if (!WaitCheckpoint(id, /*timeout_ms=*/30000, /*out=*/nullptr) &&
         !stopping_.load(std::memory_order_acquire)) {
       journal_->Emit(obs::EventType::kCheckpointFailed, "job",
                      "periodic checkpoint " + std::to_string(id) +

@@ -160,6 +160,8 @@ class JobRunner {
  private:
   void CoordinatorLoop();
   uint64_t BeginCheckpoint();
+  /// Waits until checkpoint `id` (or a later one) completes; copies it into
+  /// `out` unless `out` is null.
   bool WaitCheckpoint(uint64_t id, int64_t timeout_ms, JobSnapshot* out);
   void OnTaskSnapshot(uint64_t checkpoint_id, TaskSnapshot snapshot);
   std::string BuildTopologyJson() const;

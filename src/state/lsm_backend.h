@@ -79,20 +79,15 @@ class LsmBackend final : public KeyedStateBackend {
   }
 
   Result<std::string> SnapshotKeyGroups(uint32_t from, uint32_t to) override {
-    // Key groups are the second key component, so one namespace's groups are
-    // contiguous; we scan per namespace prefix and filter. Simpler: scan all
-    // and filter by the decoded group (state sizes here are snapshot-bound
-    // anyway).
+    // One ordered scan of the tree, which holds the tree mutex throughout
+    // and so sees one consistent state; other key groups are skipped.
     SnapshotEncoder snapshot;
-    uint64_t snap = tree_->GetSnapshot();
-    Status st = tree_->ScanPrefix(
-        "", snap, [&](std::string_view ck, std::string_view value) {
+    EVO_RETURN_IF_ERROR(tree_->ScanPrefix(
+        "", [&](std::string_view ck, std::string_view value) {
           const Decoded d = Decode(ck);
           if (d.key_group < from || d.key_group >= to) return;
           snapshot.Add(d.ns, d.key, d.user_key, value);
-        });
-    tree_->ReleaseSnapshot(snap);
-    EVO_RETURN_IF_ERROR(st);
+        }));
     return snapshot.Finish();
   }
 

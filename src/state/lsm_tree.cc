@@ -1,7 +1,6 @@
 #include "state/lsm_tree.h"
 
 #include <algorithm>
-#include <map>
 
 #include "common/logging.h"
 #include "common/serde.h"
@@ -28,6 +27,21 @@ Status DecodeWalRecord(std::string_view data, EntryOp* op, std::string* key,
   *op = static_cast<EntryOp>(op_byte);
   EVO_RETURN_IF_ERROR(r.ReadString(key));
   return r.ReadString(value);
+}
+
+/// (key asc, seq desc): the order of every sorted run.
+bool EntryBefore(const Entry& a, const Entry& b) {
+  const int c = a.key.compare(b.key);
+  return c != 0 ? c < 0 : a.seq > b.seq;
+}
+
+/// The smallest key above every key that starts with `prefix`: drop trailing
+/// 0xff bytes, then increment the last byte. Empty means unbounded.
+std::string PrefixSuccessor(std::string_view prefix) {
+  std::string s(prefix);
+  while (!s.empty() && static_cast<uint8_t>(s.back()) == 0xff) s.pop_back();
+  if (!s.empty()) s.back() = static_cast<char>(s.back() + 1);
+  return s;
 }
 
 }  // namespace
@@ -108,9 +122,11 @@ Status LsmTree::RecoverLocked() {
   EVO_ASSIGN_OR_RETURN(wal_, WalWriter::Open(env, WalPath(wal_id_)));
   {
     std::vector<Entry> replay;
-    mem_.ForEach([&](const Entry& e) { replay.push_back(e); });
-    // ForEach yields (key asc, seq desc); the WAL must be in original write
-    // order so future replays reconstruct the same version order.
+    for (auto c = mem_.Seek(""); c.Current() != nullptr; c.Next()) {
+      replay.push_back(*c.Current());
+    }
+    // The memtable yields (key asc, seq desc); the WAL must be in original
+    // write order so future replays reconstruct the same version order.
     std::sort(replay.begin(), replay.end(),
               [](const Entry& a, const Entry& b) { return a.seq < b.seq; });
     for (const Entry& e : replay) {
@@ -176,83 +192,87 @@ Result<std::optional<std::string>> LsmTree::GetAtSnapshot(
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.gets;
 
-  // 1. Memtable.
-  if (auto e = mem_.Get(key, snapshot_seq)) {
-    if (e->op == EntryOp::kDelete) return std::optional<std::string>{};
-    return std::optional<std::string>(std::move(e->value));
-  }
-
-  // 2. L0, newest file first (files appended in flush order).
-  for (auto it = levels_[0].rbegin(); it != levels_[0].rend(); ++it) {
-    const FileMeta& f = *it;
-    if (key < f.reader->smallest_key() || key > f.reader->largest_key()) {
-      continue;
-    }
-    ++stats_.sst_reads;
-    EVO_ASSIGN_OR_RETURN(auto e, f.reader->Get(key, snapshot_seq));
-    if (e.has_value()) {
-      if (e->op == EntryOp::kDelete) return std::optional<std::string>{};
-      return std::optional<std::string>(std::move(e->value));
-    }
-    ++stats_.bloom_skips;
-  }
-
-  // 3. Deeper levels: at most one candidate file per level.
-  for (size_t level = 1; level < levels_.size(); ++level) {
-    for (const FileMeta& f : levels_[level]) {
-      if (key < f.reader->smallest_key() || key > f.reader->largest_key()) {
-        continue;
+  // Newest first: the memtable, then L0 newest file first (files overlap and
+  // are appended in flush order), then the deeper levels, whose files are
+  // disjoint so at most one per level can hold the key.
+  std::optional<Entry> found = mem_.Get(key, snapshot_seq);
+  for (size_t level = 0; !found && level < levels_.size(); ++level) {
+    const std::vector<FileMeta>& files = levels_[level];
+    for (auto f = files.rbegin(); !found && f != files.rend(); ++f) {
+      const SSTableReader& reader = *f->reader;
+      if (key < reader.smallest_key() || key > reader.largest_key()) continue;
+      if (reader.MayContain(key)) {
+        ++stats_.sst_reads;
+        EVO_ASSIGN_OR_RETURN(found, reader.Get(key, snapshot_seq));
+      } else {
+        ++stats_.bloom_skips;
       }
-      ++stats_.sst_reads;
-      EVO_ASSIGN_OR_RETURN(auto e, f.reader->Get(key, snapshot_seq));
-      if (e.has_value()) {
-        if (e->op == EntryOp::kDelete) return std::optional<std::string>{};
-        return std::optional<std::string>(std::move(e->value));
-      }
-      break;  // non-overlapping: only one file can contain the key
+      if (level > 0) break;
     }
   }
-  return std::optional<std::string>{};
+  if (!found || found->op == EntryOp::kDelete) {
+    return std::optional<std::string>{};
+  }
+  return std::optional<std::string>(std::move(found->value));
+}
+
+template <typename Fn>
+Status LsmTree::MergeLocked(bool with_mem, const std::vector<FileMeta>& files,
+                            std::string_view lo, Fn&& fn) {
+  std::vector<std::unique_ptr<EntryCursor>> runs;
+  runs.reserve(files.size() + 1);
+  if (with_mem) runs.push_back(std::make_unique<MemTable::Cursor>(mem_.Seek(lo)));
+  for (const FileMeta& f : files) {
+    runs.push_back(std::make_unique<SSTableReader::Cursor>(f.reader->Seek(lo)));
+  }
+  // k-way merge: repeatedly take the smallest head. k is small (the memtable
+  // plus a handful of files), so a linear pick beats a heap.
+  while (true) {
+    EntryCursor* head = nullptr;
+    for (const auto& run : runs) {
+      const Entry* e = run->Current();
+      if (e != nullptr && (head == nullptr || EntryBefore(*e, *head->Current()))) {
+        head = run.get();
+      }
+    }
+    if (head == nullptr || !fn(*head->Current())) break;
+    head->Next();
+  }
+  for (const auto& run : runs) EVO_RETURN_IF_ERROR(run->status());
+  return Status::OK();
 }
 
 Status LsmTree::ScanPrefix(
     std::string_view prefix, uint64_t snapshot_seq,
     const std::function<void(std::string_view, std::string_view)>& fn) {
-  std::lock_guard<std::mutex> lock(mu_);
-
-  // Merge newest-wins across memtable and all files. keyed map keeps entries
-  // ordered; only higher-seq entries overwrite.
-  std::map<std::string, Entry> merged;
-  auto consider = [&](const Entry& e) {
-    auto it = merged.find(e.key);
-    if (it == merged.end() || it->second.seq < e.seq) {
-      merged[e.key] = e;
-    }
-  };
-
-  mem_.ForEachVisibleInPrefix(prefix, snapshot_seq, consider);
-  for (const auto& level : levels_) {
-    for (const FileMeta& f : level) {
-      EVO_RETURN_IF_ERROR(f.reader->ScanPrefix(prefix, snapshot_seq, consider));
-    }
-  }
-  for (const auto& [key, e] : merged) {
-    if (e.op == EntryOp::kDelete) continue;
-    fn(key, e.value);
-  }
-  return Status::OK();
+  return ScanRange(prefix, PrefixSuccessor(prefix), snapshot_seq, fn);
 }
 
 Status LsmTree::ScanRange(
     std::string_view lo, std::string_view hi, uint64_t snapshot_seq,
     const std::function<void(std::string_view, std::string_view)>& fn) {
-  // Reuse the prefix-merge machinery with an empty prefix, filtering to the
-  // range. Simple and correct; a production engine would seek directly.
-  return ScanPrefix("", snapshot_seq,
-                    [&](std::string_view key, std::string_view value) {
-                      if (key < lo || (!hi.empty() && key >= hi)) return;
-                      fn(key, value);
-                    });
+  std::lock_guard<std::mutex> lock(mu_);
+  std::vector<FileMeta> files;
+  for (const auto& level : levels_) {
+    for (const FileMeta& f : level) {
+      if (f.reader->largest_key() < lo ||
+          (!hi.empty() && f.reader->smallest_key() >= hi)) {
+        continue;
+      }
+      files.push_back(f);
+    }
+  }
+  std::string last_key;  // the key whose visible version was already taken
+  bool have_last = false;
+  return MergeLocked(/*with_mem=*/true, files, lo, [&](const Entry& e) {
+    if (!hi.empty() && e.key >= hi) return false;
+    if (e.seq > snapshot_seq) return true;
+    if (have_last && e.key == last_key) return true;  // older version
+    last_key = e.key;
+    have_last = true;
+    if (e.op == EntryOp::kPut) fn(e.key, e.value);
+    return true;
+  });
 }
 
 uint64_t LsmTree::GetSnapshot() {
@@ -287,11 +307,9 @@ Status LsmTree::FlushLocked() {
 
   uint64_t id = next_file_id_++;
   SSTableBuilder builder(options_.env, SstPath(id), mem_.EntryCount());
-  Status add_status = Status::OK();
-  mem_.ForEach([&](const Entry& e) {
-    if (add_status.ok()) add_status = builder.Add(e);
-  });
-  EVO_RETURN_IF_ERROR(add_status);
+  for (auto c = mem_.Seek(""); c.Current() != nullptr; c.Next()) {
+    EVO_RETURN_IF_ERROR(builder.Add(*c.Current()));
+  }
   EVO_RETURN_IF_ERROR(builder.Finish());
 
   EVO_ASSIGN_OR_RETURN(auto reader,
@@ -316,11 +334,6 @@ Status LsmTree::FlushLocked() {
   // new wal_id) is durable.
   (void)options_.env->DeleteFile(WalPath(old_wal));
   return Status::OK();
-}
-
-Status LsmTree::MaybeCompact() {
-  std::lock_guard<std::mutex> lock(mu_);
-  return MaybeCompactLocked();
 }
 
 Status LsmTree::MaybeCompactLocked() {
@@ -378,46 +391,37 @@ Status LsmTree::CompactLevelLocked(int level) {
     }
   }
 
-  // Merge: gather all entries, sort (key asc, seq desc), and emit with
-  // version dropping under the snapshot horizon.
-  std::vector<Entry> entries;
-  for (const FileMeta& f : inputs) {
-    EVO_RETURN_IF_ERROR(f.reader->ForEachEntry(
-        [&](const Entry& e) { entries.push_back(e); }));
-  }
-  std::sort(entries.begin(), entries.end(), [](const Entry& a, const Entry& b) {
-    if (a.key != b.key) return a.key < b.key;
-    return a.seq > b.seq;
-  });
-
+  // Stream the merge of the inputs into one output file. An older version
+  // is kept only while some live snapshot can still see it, i.e. while the
+  // next newer version is above the horizon. At the bottom, a newest
+  // tombstone at or below the horizon is dropped as well; every older
+  // version of its key goes with it by the first rule.
   const uint64_t horizon = MinLiveSnapshotLocked();
   const bool bottom = (out_level == static_cast<int>(levels_.size()) - 1);
-  std::vector<Entry> output;
-  output.reserve(entries.size());
-  for (size_t i = 0; i < entries.size(); ++i) {
-    const Entry& e = entries[i];
-    bool newest_for_key = (i == 0 || entries[i - 1].key != e.key);
-    if (!newest_for_key) {
-      // An older version is only needed if some live snapshot can still see
-      // it, i.e. the previous (newer) version is above the horizon.
-      const Entry& prev = entries[i - 1];
-      if (prev.seq <= horizon) continue;  // prev visible to all: drop e
-    }
-    if (newest_for_key && e.op == EntryOp::kDelete && bottom &&
-        e.seq <= horizon) {
-      // Tombstone at the bottom with nothing underneath: drop entirely —
-      // but only if no older versions of the key follow (they'd resurrect).
-      bool has_older = (i + 1 < entries.size() && entries[i + 1].key == e.key);
-      if (!has_older) continue;
-    }
-    output.push_back(e);
-  }
+  uint64_t input_entries = 0;
+  for (const FileMeta& f : inputs) input_entries += f.reader->entry_count();
+  const uint64_t id = next_file_id_;
+  SSTableBuilder builder(options_.env, SstPath(id), input_entries);
+  std::string prev_key;
+  uint64_t prev_seq = 0;
+  bool have_prev = false;
+  Status added;
+  auto add = [&](const Entry& e) {
+    const bool newest_for_key = !have_prev || e.key != prev_key;
+    const bool drop = newest_for_key
+                          ? bottom && e.op == EntryOp::kDelete && e.seq <= horizon
+                          : prev_seq <= horizon;
+    if (newest_for_key) prev_key = e.key;
+    prev_seq = e.seq;
+    have_prev = true;
+    if (!drop) added = builder.Add(e);
+    return added.ok();
+  };
+  EVO_RETURN_IF_ERROR(MergeLocked(/*with_mem=*/false, inputs, "", add));
+  EVO_RETURN_IF_ERROR(added);
 
-  std::vector<FileMeta> new_files;
-  if (!output.empty()) {
-    uint64_t id = next_file_id_++;
-    SSTableBuilder builder(options_.env, SstPath(id), output.size());
-    for (const Entry& e : output) EVO_RETURN_IF_ERROR(builder.Add(e));
+  if (builder.entry_count() > 0) {
+    ++next_file_id_;
     EVO_RETURN_IF_ERROR(builder.Finish());
     EVO_ASSIGN_OR_RETURN(auto reader,
                          SSTableReader::Open(options_.env, SstPath(id)));
@@ -425,19 +429,12 @@ Status LsmTree::CompactLevelLocked(int level) {
     meta.id = id;
     meta.level = out_level;
     meta.reader = std::move(reader);
-    new_files.push_back(std::move(meta));
+    out_keep.push_back(std::move(meta));
   }
 
-  // Install: clear input level, replace output level.
-  std::vector<FileMeta> obsolete = std::move(levels_[static_cast<size_t>(level)]);
-  for (const FileMeta& f : levels_[out_level]) {
-    bool kept = false;
-    for (const FileMeta& k : out_keep) kept |= (k.id == f.id);
-    if (!kept) obsolete.push_back(f);
-  }
+  // Install: the inputs are exactly the files this compaction replaces.
   levels_[static_cast<size_t>(level)].clear();
   // Keep non-overlapping files sorted by smallest key.
-  for (FileMeta& f : new_files) out_keep.push_back(std::move(f));
   std::sort(out_keep.begin(), out_keep.end(),
             [](const FileMeta& a, const FileMeta& b) {
               return a.reader->smallest_key() < b.reader->smallest_key();
@@ -446,7 +443,7 @@ Status LsmTree::CompactLevelLocked(int level) {
 
   ++stats_.compactions;
   EVO_RETURN_IF_ERROR(WriteManifestLocked());
-  for (const FileMeta& f : obsolete) {
+  for (const FileMeta& f : inputs) {
     (void)options_.env->DeleteFile(SstPath(f.id));
   }
   return Status::OK();

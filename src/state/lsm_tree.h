@@ -9,7 +9,10 @@
 ///   writes  -> WAL (durability) -> memtable (skiplist)
 ///   flush   -> L0 SST files (overlapping key ranges)
 ///   compact -> L1..Ln SST files (non-overlapping per level, leveled policy)
-///   reads   -> memtable, then L0 newest-first, then one file per level
+///   reads   -> memtable, then L0 newest-first, then one file per level,
+///              each SST probe behind its bloom filter
+///   scans   -> one k-way merge of memtable and SST cursors (also the
+///              compaction input)
 ///   MVCC    -> global sequence numbers; GetSnapshot() pins a sequence so
 ///              readers (queryable state, checkpoints) see a stable view
 ///
@@ -109,8 +112,6 @@ class LsmTree {
 
   /// \brief Forces the memtable to L0 (and truncates the WAL).
   Status Flush();
-  /// \brief Runs compactions until the shape invariants hold.
-  Status MaybeCompact();
   /// \brief Full manual compaction into the bottom level.
   Status CompactAll();
 
@@ -129,6 +130,12 @@ class LsmTree {
   Status FlushLocked();
   Status MaybeCompactLocked();
   Status CompactLevelLocked(int level);
+  /// Streams the (key asc, seq desc) merge of the memtable (if `with_mem`)
+  /// and `files`, from the first key >= `lo`, into `fn(const Entry&)` until
+  /// it returns false. Every scan and every compaction reads through here.
+  template <typename Fn>
+  Status MergeLocked(bool with_mem, const std::vector<FileMeta>& files,
+                     std::string_view lo, Fn&& fn);
   Status WriteManifestLocked();
   Status RecoverLocked();
 

@@ -7,7 +7,7 @@
 /// Entries are ordered by (user key ascending, sequence number descending) so
 /// a point lookup at a snapshot seeks to the first entry for the key with
 /// seqno <= snapshot. Deletes are tombstone entries; they shadow older puts
-/// and are dropped during compaction when no older data remains beneath them.
+/// and are dropped once compaction carries them into the bottom level.
 
 #include <cstdint>
 #include <memory>
@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/status.h"
 
 namespace evo::state {
 
@@ -31,8 +32,24 @@ struct Entry {
   std::string value;
 };
 
+/// \brief A forward cursor over one sorted run (memtable or SST), in
+/// (key asc, seq desc) order. Scans, compaction and SST point reads all walk
+/// runs through it.
+class EntryCursor {
+ public:
+  virtual ~EntryCursor() = default;
+  /// \brief The entry under the cursor, or null past the end.
+  virtual const Entry* Current() const = 0;
+  /// \brief Advances; only valid while Current() is non-null.
+  virtual void Next() = 0;
+  /// \brief Non-OK if the cursor stopped early on a corrupt entry.
+  virtual Status status() const { return Status::OK(); }
+};
+
 /// \brief Skiplist-backed sorted write buffer.
 class MemTable {
+  struct Node;
+
  public:
   MemTable() : rng_(0x9e3779b9u) {
     head_ = NewNode("", 0, EntryOp::kPut, "", kMaxHeight);
@@ -47,32 +64,22 @@ class MemTable {
   /// tombstone yields an engaged optional holding a tombstone entry.
   std::optional<Entry> Get(std::string_view key, uint64_t snapshot_seq) const;
 
-  /// \brief In-order scan of all entries (every version, newest first per
-  /// key); used by flush.
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    for (Node* n = head_->next[0]; n != nullptr; n = n->next[0]) {
-      fn(n->entry);
+  /// \brief Cursor over the skiplist's bottom level.
+  class Cursor final : public EntryCursor {
+   public:
+    const Entry* Current() const override {
+      return node_ == nullptr ? nullptr : &node_->entry;
     }
-  }
+    void Next() override { node_ = node_->next[0]; }
 
-  /// \brief Iterate entries whose key starts with `prefix`, visible at
-  /// `snapshot_seq`, newest version per key only, skipping tombstones.
-  template <typename Fn>
-  void ForEachVisibleInPrefix(std::string_view prefix, uint64_t snapshot_seq,
-                              Fn&& fn) const {
-    const Node* n = SeekGE(prefix);
-    std::string_view last_key;
-    bool have_last = false;
-    for (; n != nullptr; n = n->next[0]) {
-      if (n->entry.key.compare(0, prefix.size(), prefix) != 0) break;
-      if (n->entry.seq > snapshot_seq) continue;
-      if (have_last && n->entry.key == last_key) continue;  // older version
-      last_key = n->entry.key;
-      have_last = true;
-      fn(n->entry);
-    }
-  }
+   private:
+    friend class MemTable;
+    explicit Cursor(const Node* node) : node_(node) {}
+    const Node* node_;
+  };
+
+  /// \brief Positions a cursor at the first entry whose key is >= `lo`.
+  Cursor Seek(std::string_view lo) const { return Cursor(SeekGE(lo)); }
 
   size_t ApproximateBytes() const { return bytes_; }
   size_t EntryCount() const { return count_; }

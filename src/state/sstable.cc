@@ -1,7 +1,7 @@
 #include "state/sstable.h"
 
 #include <algorithm>
-#include <functional>
+#include <iterator>
 
 #include "common/crc32.h"
 #include "testing/fault_injector.h"
@@ -134,13 +134,10 @@ Result<std::unique_ptr<SSTableReader>> SSTableReader::Open(
 
   // Recover the largest key by scanning the last index stripe.
   if (!reader->index_.empty()) {
-    BinaryReader r(std::string_view(reader->data_).substr(
+    Cursor c(std::string_view(reader->data_).substr(
         reader->index_.back().second));
-    Entry e;
-    while (!r.AtEnd()) {
-      EVO_RETURN_IF_ERROR(ParseEntry(&r, &e));
-      reader->largest_ = e.key;
-    }
+    for (; c.Current() != nullptr; c.Next()) reader->largest_ = c.Current()->key;
+    EVO_RETURN_IF_ERROR(c.status());
   }
   return reader;
 }
@@ -163,80 +160,38 @@ Status SSTableReader::ParseEntry(BinaryReader* r, Entry* out) {
   return Status::OK();
 }
 
+void SSTableReader::Cursor::Next() {
+  valid_ = !reader_.AtEnd();
+  if (!valid_) return;
+  status_ = ParseEntry(&reader_, &entry_);
+  valid_ = status_.ok();
+}
+
+SSTableReader::Cursor SSTableReader::Seek(std::string_view lo) const {
+  // The one index search: start at the last stripe whose first key is
+  // STRICTLY below `lo`. Starting at a stripe whose first key equals `lo`
+  // would be wrong: versions of one key are ordered newest-first and may
+  // span a stripe boundary, so the newest version can live at the tail of
+  // the previous stripe.
+  auto stripe = std::lower_bound(
+      index_.begin(), index_.end(), lo,
+      [](const auto& entry, std::string_view k) { return entry.first < k; });
+  const uint64_t offset = stripe == index_.begin() ? 0 : std::prev(stripe)->second;
+  Cursor c(std::string_view(data_).substr(offset));
+  while (c.Current() != nullptr && c.Current()->key < lo) c.Next();
+  return c;
+}
+
 Result<std::optional<Entry>> SSTableReader::Get(std::string_view key,
                                                 uint64_t snapshot_seq) const {
-  if (!bloom_.MayContain(key)) return std::optional<Entry>{};
-  if (index_.empty()) return std::optional<Entry>{};
-
-  // Binary search the sparse index for the last stripe whose first key is
-  // STRICTLY below the target. Starting at a stripe whose first key equals
-  // the target would be wrong: versions of one key are ordered newest-first
-  // and may span a stripe boundary, so the newest version can live at the
-  // tail of the previous stripe.
-  size_t lo = 0, hi = index_.size();
-  while (lo + 1 < hi) {
-    size_t mid = (lo + hi) / 2;
-    if (index_[mid].first < key) {
-      lo = mid;
-    } else {
-      hi = mid;
+  Cursor c = Seek(key);
+  for (; c.Current() != nullptr && c.Current()->key == key; c.Next()) {
+    if (c.Current()->seq <= snapshot_seq) {
+      return std::optional<Entry>(*c.Current());
     }
   }
-  if (index_[lo].first > key) return std::optional<Entry>{};
-
-  BinaryReader r(std::string_view(data_).substr(index_[lo].second));
-  Entry e;
-  while (!r.AtEnd()) {
-    EVO_RETURN_IF_ERROR(ParseEntry(&r, &e));
-    int c = std::string_view(e.key).compare(key);
-    if (c > 0) break;
-    if (c == 0 && e.seq <= snapshot_seq) return std::optional<Entry>(e);
-  }
+  EVO_RETURN_IF_ERROR(c.status());
   return std::optional<Entry>{};
-}
-
-Status SSTableReader::ForEachEntry(
-    const std::function<void(const Entry&)>& fn) const {
-  BinaryReader r(data_);
-  Entry e;
-  while (!r.AtEnd()) {
-    EVO_RETURN_IF_ERROR(ParseEntry(&r, &e));
-    fn(e);
-  }
-  return Status::OK();
-}
-
-Status SSTableReader::ScanPrefix(
-    std::string_view prefix, uint64_t snapshot_seq,
-    const std::function<void(const Entry&)>& fn) const {
-  if (index_.empty()) return Status::OK();
-  // Find the stripe that may contain the first prefixed key.
-  size_t lo = 0, hi = index_.size();
-  while (lo + 1 < hi) {
-    size_t mid = (lo + hi) / 2;
-    if (index_[mid].first < prefix) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  BinaryReader r(std::string_view(data_).substr(index_[lo].second));
-  Entry e;
-  std::string last_emitted_key;
-  bool have_last = false;
-  while (!r.AtEnd()) {
-    EVO_RETURN_IF_ERROR(ParseEntry(&r, &e));
-    int cmp = std::string_view(e.key).substr(0, prefix.size()).compare(prefix);
-    if (cmp < 0) continue;  // before the prefixed range
-    if (cmp > 0) break;     // past the prefixed range
-
-    if (e.seq > snapshot_seq) continue;
-    if (have_last && e.key == last_emitted_key) continue;  // older version
-    last_emitted_key = e.key;
-    have_last = true;
-    fn(e);
-  }
-  return Status::OK();
 }
 
 }  // namespace evo::state

@@ -14,10 +14,10 @@
 ///   footer       : u64 bloom_off | u64 index_off | u64 entry_count |
 ///                  u64 min_seq | u64 max_seq | u32 crc(data) | u32 magic
 ///
-/// The reader keeps bloom + index + footer in memory and serves point reads
-/// with a single ranged file read.
+/// The reader keeps the data block, bloom and index in memory. Every read,
+/// point or ordered, starts with Seek(): one binary search of the sparse
+/// index, then a cursor walk through the data block.
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -74,18 +74,34 @@ class SSTableReader {
   static Result<std::unique_ptr<SSTableReader>> Open(Env* env,
                                                      const std::string& path);
 
+  /// \brief Cursor over the data block, parsing one entry at a time.
+  class Cursor final : public EntryCursor {
+   public:
+    const Entry* Current() const override { return valid_ ? &entry_ : nullptr; }
+    void Next() override;
+    Status status() const override { return status_; }
+
+   private:
+    friend class SSTableReader;
+    explicit Cursor(std::string_view data) : reader_(data) { Next(); }
+
+    BinaryReader reader_;
+    Entry entry_;
+    bool valid_ = false;
+    Status status_;
+  };
+
+  /// \brief Positions a cursor at the first entry whose key is >= `lo`.
+  Cursor Seek(std::string_view lo) const;
+
+  /// \brief False if the bloom filter rules `key` out of this file.
+  bool MayContain(std::string_view key) const { return bloom_.MayContain(key); }
+
   /// \brief Newest entry for `key` visible at `snapshot_seq`, or nullopt.
-  /// Tombstones are returned (caller interprets op).
+  /// Tombstones are returned (caller interprets op). Does not consult the
+  /// bloom filter; the caller does that with MayContain().
   Result<std::optional<Entry>> Get(std::string_view key,
                                    uint64_t snapshot_seq) const;
-
-  /// \brief Visits every entry in order; used by compaction and scans.
-  Status ForEachEntry(const std::function<void(const Entry&)>& fn) const;
-
-  /// \brief Visits the newest visible entry per key within a key prefix,
-  /// including tombstones (merging across files happens in the LSM layer).
-  Status ScanPrefix(std::string_view prefix, uint64_t snapshot_seq,
-                    const std::function<void(const Entry&)>& fn) const;
 
   uint64_t entry_count() const { return entry_count_; }
   const std::string& smallest_key() const { return smallest_; }

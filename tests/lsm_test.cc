@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
+#include <optional>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "state/bloom.h"
@@ -192,7 +196,9 @@ TEST(MemTableTest, OrderedIterationKeyAscSeqDesc) {
   mem.Add("a", 3, EntryOp::kPut, "a3");
   mem.Add("c", 4, EntryOp::kPut, "c4");
   std::vector<std::pair<std::string, uint64_t>> seen;
-  mem.ForEach([&](const Entry& e) { seen.emplace_back(e.key, e.seq); });
+  for (auto c = mem.Seek(""); c.Current() != nullptr; c.Next()) {
+    seen.emplace_back(c.Current()->key, c.Current()->seq);
+  }
   ASSERT_EQ(seen.size(), 4u);
   EXPECT_EQ(seen[0], std::make_pair(std::string("a"), uint64_t{3}));
   EXPECT_EQ(seen[1], std::make_pair(std::string("a"), uint64_t{1}));
@@ -200,19 +206,25 @@ TEST(MemTableTest, OrderedIterationKeyAscSeqDesc) {
   EXPECT_EQ(seen[3], std::make_pair(std::string("c"), uint64_t{4}));
 }
 
-TEST(MemTableTest, PrefixVisibleScanSkipsOldVersionsAndOutOfSnapshot) {
+TEST(MemTableTest, SeekStartsAtFirstVersionOfFirstKeyAtOrAfter) {
   MemTable mem;
   mem.Add("p/a", 1, EntryOp::kPut, "old");
   mem.Add("p/a", 5, EntryOp::kPut, "new");
   mem.Add("p/b", 10, EntryOp::kPut, "future");
   mem.Add("q/x", 2, EntryOp::kPut, "other-prefix");
-  std::vector<std::pair<std::string, std::string>> seen;
-  mem.ForEachVisibleInPrefix("p/", 5, [&](const Entry& e) {
-    seen.emplace_back(e.key, e.value);
-  });
-  ASSERT_EQ(seen.size(), 1u);
-  EXPECT_EQ(seen[0].first, "p/a");
-  EXPECT_EQ(seen[0].second, "new");
+  std::vector<std::pair<std::string, uint64_t>> seen;
+  for (auto c = mem.Seek("p/"); c.Current() != nullptr; c.Next()) {
+    seen.emplace_back(c.Current()->key, c.Current()->seq);
+  }
+  ASSERT_EQ(seen.size(), 4u);
+  EXPECT_EQ(seen[0], std::make_pair(std::string("p/a"), uint64_t{5}));
+  EXPECT_EQ(seen[1], std::make_pair(std::string("p/a"), uint64_t{1}));
+  EXPECT_EQ(seen[2], std::make_pair(std::string("p/b"), uint64_t{10}));
+  EXPECT_EQ(seen[3], std::make_pair(std::string("q/x"), uint64_t{2}));
+  auto exact = mem.Seek("p/b");
+  ASSERT_NE(exact.Current(), nullptr);
+  EXPECT_EQ(exact.Current()->key, "p/b");
+  EXPECT_EQ(mem.Seek("r").Current(), nullptr);
 }
 
 TEST(MemTableTest, ManyKeysRandomOrderStillSorted) {
@@ -227,14 +239,15 @@ TEST(MemTableTest, ManyKeysRandomOrderStillSorted) {
   std::string prev;
   bool first = true;
   size_t distinct = 0;
-  mem.ForEach([&](const Entry& e) {
+  for (auto c = mem.Seek(""); c.Current() != nullptr; c.Next()) {
+    const Entry& e = *c.Current();
     if (first || e.key != prev) {
       ++distinct;
       if (!first) EXPECT_LT(prev, e.key);
       prev = e.key;
       first = false;
     }
-  });
+  }
   EXPECT_EQ(distinct, keys.size());
 }
 
@@ -341,27 +354,36 @@ TEST(SSTableTest, CorruptDataDetectedOnOpen) {
   EXPECT_EQ(reader.status().code(), StatusCode::kDataLoss);
 }
 
-TEST(SSTableTest, PrefixScanNewestPerKey) {
+TEST(SSTableTest, SeekLandsOnNewestVersionOfFirstKeyAtOrAfter) {
+  // Even keys "k000".."k098", each with versions 2 (newest) and 1, so the
+  // 100 entries span several index stripes (kIndexInterval = 16) and some
+  // keys straddle a stripe boundary.
   MemEnv env;
   SSTableBuilder builder(&env, "/t.sst");
-  ASSERT_TRUE(builder.Add(Entry{"p/a", 9, EntryOp::kPut, "a9"}).ok());
-  ASSERT_TRUE(builder.Add(Entry{"p/a", 2, EntryOp::kPut, "a2"}).ok());
-  ASSERT_TRUE(builder.Add(Entry{"p/b", 3, EntryOp::kDelete, ""}).ok());
-  ASSERT_TRUE(builder.Add(Entry{"q/c", 4, EntryOp::kPut, "c4"}).ok());
+  char buf[8];
+  for (int i = 0; i < 100; i += 2) {
+    std::snprintf(buf, sizeof(buf), "k%03d", i);
+    for (uint64_t seq : {2, 1}) {
+      ASSERT_TRUE(builder.Add(Entry{buf, seq, EntryOp::kPut, "v"}).ok());
+    }
+  }
   ASSERT_TRUE(builder.Finish().ok());
   auto reader = SSTableReader::Open(&env, "/t.sst");
   ASSERT_TRUE(reader.ok());
-  std::vector<std::string> seen;
-  ASSERT_TRUE((*reader)
-                  ->ScanPrefix("p/", UINT64_MAX,
-                               [&](const Entry& e) {
-                                 seen.push_back(e.key + "=" + e.value);
-                               })
-                  .ok());
-  // Newest version of p/a, plus the p/b tombstone (caller filters).
-  ASSERT_EQ(seen.size(), 2u);
-  EXPECT_EQ(seen[0], "p/a=a9");
-  EXPECT_EQ(seen[1], "p/b=");
+  for (int target = 0; target < 99; ++target) {
+    std::snprintf(buf, sizeof(buf), "k%03d", target);
+    auto c = (*reader)->Seek(buf);
+    ASSERT_NE(c.Current(), nullptr) << buf;
+    std::snprintf(buf, sizeof(buf), "k%03d", target + target % 2);
+    EXPECT_EQ(c.Current()->key, buf);
+    EXPECT_EQ(c.Current()->seq, 2u) << buf;
+  }
+  auto before = (*reader)->Seek("a");
+  ASSERT_NE(before.Current(), nullptr);
+  EXPECT_EQ(before.Current()->key, "k000");
+  auto past = (*reader)->Seek("k099");
+  EXPECT_EQ(past.Current(), nullptr);
+  EXPECT_TRUE(past.status().ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -531,6 +553,214 @@ TEST(LsmTest, BloomFiltersSkipMissingKeyProbes) {
   // Misses should rarely touch SST data thanks to blooms.
   EXPECT_LT(stats.sst_reads, 2100u);
 }
+
+// Writes even-numbered keys "key0000".."key1998" into one file, then probes
+// the 999 odd keys in between: every probe lands inside the file's key range,
+// so only the bloom filter can turn it away.
+constexpr uint64_t kInRangeProbes = 999;
+
+void ProbeInRangeAbsentKeys(LsmTree* tree, bool compact) {
+  char buf[16];
+  for (int i = 0; i < 1000; ++i) {
+    std::snprintf(buf, sizeof(buf), "key%04d", 2 * i);
+    ASSERT_TRUE(tree->Put(buf, "v").ok());
+  }
+  ASSERT_TRUE(compact ? tree->CompactAll().ok() : tree->Flush().ok());
+  for (uint64_t i = 0; i < kInRangeProbes; ++i) {
+    std::snprintf(buf, sizeof(buf), "key%04d", static_cast<int>(2 * i + 1));
+    auto got = tree->Get(buf);
+    ASSERT_TRUE(got.ok());
+    EXPECT_FALSE(got->has_value()) << buf;
+  }
+}
+
+TEST(LsmTest, BloomCountersAreDisjointInL0) {
+  MemEnv env;
+  auto tree = LsmTree::Open(test_util::SmallLsmOptions(&env, "/db", 1 << 20));
+  ASSERT_TRUE(tree.ok());
+  ProbeInRangeAbsentKeys(tree->get(), /*compact=*/false);
+  LsmStats stats = (*tree)->GetStats();
+  ASSERT_EQ(stats.files_per_level[0], 1u);
+  EXPECT_EQ(stats.sst_reads + stats.bloom_skips, kInRangeProbes);
+  EXPECT_GT(stats.bloom_skips, kInRangeProbes * 9 / 10);
+}
+
+TEST(LsmTest, BloomCountersCountDeeperLevels) {
+  MemEnv env;
+  auto tree = LsmTree::Open(test_util::SmallLsmOptions(&env, "/db", 1 << 20));
+  ASSERT_TRUE(tree.ok());
+  ProbeInRangeAbsentKeys(tree->get(), /*compact=*/true);
+  LsmStats stats = (*tree)->GetStats();
+  ASSERT_EQ(stats.files_per_level[0], 0u);
+  EXPECT_EQ(stats.sst_reads + stats.bloom_skips, kInRangeProbes);
+  EXPECT_GT(stats.bloom_skips, kInRangeProbes * 9 / 10);
+}
+
+TEST(LsmTest, BottomTombstoneLeavesNoFile) {
+  MemEnv env;
+  auto tree = LsmTree::Open(SmallLsm(&env, "/db"));
+  ASSERT_TRUE(tree.ok());
+  ASSERT_TRUE((*tree)->Put("k", "v").ok());
+  ASSERT_TRUE((*tree)->CompactAll().ok());
+  ASSERT_TRUE((*tree)->Delete("k").ok());
+  ASSERT_TRUE((*tree)->CompactAll().ok());
+  size_t files = 0;
+  for (size_t n : (*tree)->GetStats().files_per_level) files += n;
+  EXPECT_EQ(files, 0u);
+  auto got = (*tree)->Get("k");
+  ASSERT_TRUE(got.ok());
+  EXPECT_FALSE(got->has_value());
+}
+
+// ---------------------------------------------------------------------------
+// Differential test: the tree's reads against a versioned model
+// ---------------------------------------------------------------------------
+
+// Every write the tree acknowledged, with the sequence number it got, so the
+// view at any snapshot can be recomputed.
+class VersionedModel {
+ public:
+  using Rows = std::vector<std::pair<std::string, std::string>>;
+
+  void Write(const std::string& key, uint64_t seq,
+             std::optional<std::string> value) {
+    versions_[key].emplace_back(seq, std::move(value));
+  }
+
+  /// Value of `key` at `snapshot`; nullopt if absent or deleted.
+  std::optional<std::string> Get(const std::string& key,
+                                 uint64_t snapshot) const {
+    auto it = versions_.find(key);
+    if (it == versions_.end()) return std::nullopt;
+    for (auto v = it->second.rbegin(); v != it->second.rend(); ++v) {
+      if (v->first <= snapshot) return v->second;
+    }
+    return std::nullopt;
+  }
+
+  /// Live rows whose key satisfies `in` at `snapshot`, in key order.
+  template <typename Pred>
+  Rows Select(uint64_t snapshot, Pred in) const {
+    Rows rows;
+    for (const auto& [key, unused] : versions_) {
+      if (!in(key)) continue;
+      if (auto value = Get(key, snapshot)) rows.emplace_back(key, *value);
+    }
+    return rows;
+  }
+
+ private:
+  // key -> (seq, value or nullopt for a tombstone), seq ascending.
+  std::map<std::string,
+           std::vector<std::pair<uint64_t, std::optional<std::string>>>>
+      versions_;
+};
+
+class LsmTreeModelTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(LsmTreeModelTest, ReadsMatchVersionedModel) {
+  MemEnv env;
+  auto opened =
+      LsmTree::Open(test_util::SmallLsmOptions(&env, "/model", 2048));
+  ASSERT_TRUE(opened.ok());
+  LsmTree& tree = **opened;
+  Rng rng(GetParam());
+
+  // Keys of 1-3 bytes over an alphabet with both extreme bytes, so range
+  // ends and prefix successors hit 0x00 and 0xff.
+  const std::string alphabet("\x00" "a" "b" "\xff", 4);
+  std::vector<std::string> keys;
+  for (const char c1 : alphabet) {
+    keys.emplace_back(1, c1);
+    for (const char c2 : alphabet) {
+      keys.push_back(std::string(1, c1) + c2);
+      for (const char c3 : alphabet) keys.push_back(std::string(1, c1) + c2 + c3);
+    }
+  }
+  auto random_key = [&] { return keys[rng.NextBounded(keys.size())]; };
+
+  VersionedModel model;
+  std::vector<uint64_t> snapshots;  // pinned, possibly repeated
+
+  auto collect = [](const auto& scan) {
+    VersionedModel::Rows rows;
+    Status st = scan([&](std::string_view k, std::string_view v) {
+      rows.emplace_back(std::string(k), std::string(v));
+    });
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    return rows;
+  };
+
+  auto check_view = [&](uint64_t snap, int step) {
+    SCOPED_TRACE("step " + std::to_string(step) + " snapshot " +
+                 std::to_string(snap));
+    EXPECT_EQ(collect([&](const auto& fn) {
+                return tree.ScanPrefix("", snap, fn);
+              }),
+              model.Select(snap, [](const std::string&) { return true; }));
+    std::vector<std::string> prefixes = {"\xff", "a\xff", "\xff\xff",
+                                         std::string(1, '\0'), random_key()};
+    for (const std::string& prefix : prefixes) {
+      EXPECT_EQ(collect([&](const auto& fn) {
+                  return tree.ScanPrefix(prefix, snap, fn);
+                }),
+                model.Select(snap, [&](const std::string& k) {
+                  return k.compare(0, prefix.size(), prefix) == 0;
+                }))
+          << "prefix of " << prefix.size() << " bytes";
+    }
+    for (int i = 0; i < 6; ++i) {
+      const std::string lo = random_key();
+      const std::string hi = rng.NextBool(0.2) ? std::string() : random_key();
+      EXPECT_EQ(collect([&](const auto& fn) {
+                  return tree.ScanRange(lo, hi, snap, fn);
+                }),
+                model.Select(snap, [&](const std::string& k) {
+                  return k >= lo && (hi.empty() || k < hi);
+                }));
+    }
+    for (const std::string& key : keys) {
+      auto got = tree.GetAtSnapshot(key, snap);
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(*got, model.Get(key, snap)) << "key of " << key.size()
+                                            << " bytes";
+    }
+  };
+
+  for (int step = 1; step <= 1500; ++step) {
+    const uint64_t roll = rng.NextBounded(100);
+    if (roll < 55) {
+      const std::string key = random_key();
+      const std::string value = "v" + std::to_string(step);
+      ASSERT_TRUE(tree.Put(key, value).ok());
+      model.Write(key, tree.LatestSequence(), value);
+    } else if (roll < 80) {
+      const std::string key = random_key();
+      ASSERT_TRUE(tree.Delete(key).ok());
+      model.Write(key, tree.LatestSequence(), std::nullopt);
+    } else if (roll < 84) {
+      ASSERT_TRUE(tree.Flush().ok());
+    } else if (roll < 86) {
+      ASSERT_TRUE(tree.CompactAll().ok());
+    } else if (roll < 93) {
+      if (snapshots.size() < 4) snapshots.push_back(tree.GetSnapshot());
+    } else if (!snapshots.empty()) {
+      const size_t victim = rng.NextBounded(snapshots.size());
+      tree.ReleaseSnapshot(snapshots[victim]);
+      snapshots.erase(snapshots.begin() + static_cast<ptrdiff_t>(victim));
+    }
+    if (step % 100 == 0) {
+      for (uint64_t snap : snapshots) check_view(snap, step);
+      check_view(tree.LatestSequence(), step);
+    }
+  }
+  LsmStats stats = tree.GetStats();
+  EXPECT_GT(stats.flushes, 0u);
+  EXPECT_GT(stats.compactions, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, LsmTreeModelTest,
+                         ::testing::Range<uint64_t>(1, 9));
 
 }  // namespace
 }  // namespace evo::state
