@@ -29,6 +29,7 @@
 
 #include "bench_util.h"
 #include "dataflow/channel.h"
+#include "dataflow/wakeup.h"
 #include "obs/bench_artifact.h"
 
 namespace evo {
@@ -97,6 +98,9 @@ class MutexChannel {
     return e;
   }
 
+  /// The baseline parks on its own condvar (PopWait); no wakeup word.
+  void SetConsumerWakeup(dataflow::WakeupWord*) {}
+
   void Close() {
     std::lock_guard<std::mutex> lock(mu_);
     closed_ = true;
@@ -121,6 +125,26 @@ class MutexChannel {
   std::deque<StreamElement> queue_;
   bool closed_ = false;
 };
+
+// Blocking pop with timeout. The ring's consumer parks on its wakeup word,
+// as an engine task does; the mutex baseline parks on its own condvar.
+std::optional<StreamElement> PopWait(Channel& ch, dataflow::WakeupWord& wakeup,
+                                     int64_t timeout_ms) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(timeout_ms);
+  while (true) {
+    if (auto e = ch.TryPop()) return e;
+    if (ch.closed()) return ch.TryPop();
+    if (!wakeup.Park(deadline, [&] { return ch.CanPop() || ch.closed(); })) {
+      return ch.TryPop();  // timeout: one last look
+    }
+  }
+}
+
+std::optional<StreamElement> PopWait(MutexChannel& ch, dataflow::WakeupWord&,
+                                     int64_t timeout_ms) {
+  return ch.PopWait(timeout_ms);
+}
 
 enum class Exchange { kForward, kHash, kBroadcast };
 
@@ -167,8 +191,11 @@ template <typename Ch>
 EdgeResult RunExchange(Exchange mode, size_t n, size_t batch) {
   const size_t fanout = Fanout(mode);
   std::vector<std::unique_ptr<Ch>> channels;
+  std::vector<std::unique_ptr<dataflow::WakeupWord>> wakeups;
   for (size_t i = 0; i < fanout; ++i) {
     channels.push_back(std::make_unique<Ch>(16384));
+    wakeups.push_back(std::make_unique<dataflow::WakeupWord>());
+    channels.back()->SetConsumerWakeup(wakeups.back().get());
   }
 
   std::vector<std::vector<int64_t>> lat(fanout);
@@ -192,7 +219,7 @@ EdgeResult RunExchange(Exchange mode, size_t n, size_t batch) {
             std::this_thread::yield();
           } else {
             empties = 0;
-            auto e = ch.PopWait(5);
+            auto e = PopWait(ch, *wakeups[c], 5);
             if (e.has_value() && e->time != 0) {
               lat[c].push_back(NowNanos() - e->time);
             }
@@ -256,13 +283,15 @@ EdgeResult RunExchange(Exchange mode, size_t n, size_t batch) {
 template <typename Ch>
 double RunLowRate(size_t n, size_t batch, int64_t period_ns) {
   Ch ch(1024);
+  dataflow::WakeupWord wakeup;
+  ch.SetConsumerWakeup(&wakeup);
   std::vector<int64_t> lat;
   lat.reserve(n);
   std::thread consumer([&] {
     // Blocking pop: at low rates the consumer parks between records, so the
-    // sampled latency includes the condvar wakeup the real task loop pays.
+    // sampled latency includes the futex wakeup the real task loop pays.
     while (true) {
-      auto e = ch.PopWait(5);
+      auto e = PopWait(ch, wakeup, 5);
       if (!e.has_value()) {
         if (ch.closed() && ch.Size() == 0) break;
         continue;

@@ -5,7 +5,8 @@
 # suites (channel, obs, dataflow, integration, state, lsm, lsm_crash,
 # operators, window_diff) to catch memory errors/UB the release build hides,
 # and a TSan build of the data-plane suites (channel ring buffer, task
-# loops, stress tests) to catch ordering bugs in the lock-free paths.
+# loops and their park/wake protocol, stress tests, the chaos suite's
+# crash-recovery schedules) to catch ordering bugs in the lock-free paths.
 #
 # Usage: scripts/check.sh [--fast]
 #   --fast   skip the chaos and sanitizer stages
@@ -89,13 +90,15 @@ cmake -B build-tsan -S . \
   -DCMAKE_CXX_FLAGS="$TSAN_FLAGS" \
   -DCMAKE_EXE_LINKER_FLAGS="$TSAN_FLAGS" >/dev/null
 cmake --build build-tsan -j"$(nproc)" \
-  --target channel_test dataflow_test concurrency_test
+  --target channel_test dataflow_test concurrency_test chaos_test
 
 echo "=== tsan: run ==="
 for t in channel_test dataflow_test concurrency_test; do
   echo "--- $t ---"
   ./build-tsan/tests/"$t"
 done
+echo "--- chaos_test ---"
+EVO_CHAOS_SEEDS="${EVO_CHAOS_SEEDS:-6}" ./build-tsan/tests/chaos_test
 
 echo "=== asan/ubsan: configure + build data-plane, obs-facing and state tests ==="
 SAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -g -O1"

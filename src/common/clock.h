@@ -12,7 +12,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <thread>
 
 namespace evo {
 
@@ -32,8 +31,6 @@ class Clock {
   virtual ~Clock() = default;
   /// \brief Current processing time in ms since epoch.
   virtual TimeMs NowMs() const = 0;
-  /// \brief Blocks (or advances virtual time) for the given duration.
-  virtual void SleepMs(int64_t ms) = 0;
 };
 
 /// \brief Wall-clock backed by std::chrono::system_clock.
@@ -50,10 +47,6 @@ class SystemClock final : public Clock {
                std::chrono::system_clock::now().time_since_epoch())
         .count();
   }
-
-  void SleepMs(int64_t ms) override {
-    std::this_thread::sleep_for(std::chrono::milliseconds(ms));
-  }
 };
 
 /// \brief Deterministic, manually advanced clock for tests and simulation.
@@ -64,10 +57,6 @@ class ManualClock final : public Clock {
   explicit ManualClock(TimeMs start = 0) : now_(start) {}
 
   TimeMs NowMs() const override { return now_.load(std::memory_order_acquire); }
-
-  /// \brief SleepMs on a manual clock advances virtual time instead of
-  /// blocking, so simulations run at full speed.
-  void SleepMs(int64_t ms) override { AdvanceMs(ms); }
 
   void AdvanceMs(int64_t ms) { now_.fetch_add(ms, std::memory_order_acq_rel); }
   void SetMs(TimeMs t) { now_.store(t, std::memory_order_release); }

@@ -14,11 +14,18 @@
 /// style of Vyukov's bounded MPMC queue: each slot carries a sequence number
 /// that encodes whether it is free or occupied, head/tail are cache-line-
 /// padded atomics, and the fast path (TryPush/TryPop/PushBatch/PopBatch)
-/// never takes a lock. A mutex + condvar pair exists only as the parked-
-/// waiter slow path of blocking Push/PopWait; producers and consumers that
-/// keep up never touch it. Batch variants claim a run of slots with a single
-/// CAS so contention and wakeups are amortized across N elements (cf. Flink
+/// never takes a lock. Batch variants claim a run of slots with a single
+/// CAS so contention is amortized across N elements (cf. Flink
 /// network-buffer batching and the LMAX disruptor lineage).
+///
+/// The two sides park differently. A producer blocked on a full ring parks
+/// on the channel's own mutex + condvar (the backpressure slow path). The
+/// consumer never parks on the channel: it parks on its task's WakeupWord
+/// (wakeup.h), which every push signals while the consumer has it registered
+/// with SetConsumerWakeup. A task with several inputs thus has one place to
+/// sleep; its park predicate asks each input CanPop(). A task unregisters
+/// the word from an input it will not read for a while (barrier-blocked),
+/// so pushes there cost no wakeups.
 ///
 /// Metric reads (Size/Fullness/BlockedNanos/PushedCount) are relaxed atomic
 /// loads, so the elasticity poller, /metrics scrapes and the shed planner
@@ -35,6 +42,7 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "dataflow/wakeup.h"
 #include "event/element.h"
 #include "testing/fault_injector.h"
 
@@ -146,33 +154,34 @@ class Channel {
     return popped;
   }
 
-  /// \brief Blocking pop with timeout; nullopt on timeout or closed+empty.
-  std::optional<StreamElement> PopWait(int64_t timeout_ms) {
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::milliseconds(timeout_ms);
-    while (true) {
-      auto e = TryPop();
-      if (e.has_value()) return e;
-      if (closed_.load(std::memory_order_acquire)) return TryPop();
-      std::unique_lock<std::mutex> lock(wait_mu_);
-      ++pop_waiters_;
-      // Pairs with the fence in WakeConsumers(); see WakeProducers.
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      bool ready = not_empty_.wait_until(lock, deadline, [&] {
-        return CanPop() || closed_.load(std::memory_order_acquire);
-      });
-      --pop_waiters_;
-      if (!ready) return TryPop();  // timeout: one last look
-    }
-  }
-
   /// \brief Closes the channel: pending elements remain poppable; pushes
-  /// fail; blocked producers and consumers wake.
+  /// fail; blocked producers and a parked consumer wake.
   void Close() {
     closed_.store(true, std::memory_order_release);
-    std::lock_guard<std::mutex> lock(wait_mu_);
-    not_full_.notify_all();
-    not_empty_.notify_all();
+    {
+      std::lock_guard<std::mutex> lock(wait_mu_);
+      not_full_.notify_all();
+    }
+    WakeConsumer();
+  }
+
+  /// \brief Registers the word the consumer parks on: every later push and
+  /// Close signals it. nullptr unregisters it. Only the consumer calls this
+  /// once producers run, and a park on the word (its seq_cst fence) must
+  /// follow a registration before the consumer relies on it.
+  void SetConsumerWakeup(WakeupWord* wakeup) {
+    consumer_.store(wakeup, std::memory_order_relaxed);
+  }
+
+  /// \brief Whether the next element is published and poppable. The
+  /// consumer's park predicate; it tests the slot seq, not just head/tail:
+  /// a cursor moves before its slot's seq is published, and a predicate
+  /// that goes true in that window turns the park into a hot spin against
+  /// a producer that may be preempted mid-publish.
+  bool CanPop() const {
+    uint64_t pos = tail_.load(std::memory_order_relaxed);
+    return slots_[pos & ring_mask_].seq.load(std::memory_order_acquire) ==
+           pos + 1;
   }
 
   bool closed() const { return closed_.load(std::memory_order_acquire); }
@@ -214,20 +223,12 @@ class Channel {
     return head > tail ? static_cast<size_t>(head - tail) : 0;
   }
 
-  // Park predicates. These must test the slot seq, not just head/tail: a
-  // cursor moves before its slot's seq is published, and a predicate that
-  // goes true in that window turns the condvar wait into a hot spin against
-  // a peer that may be preempted mid-publish.
+  // The producers' park predicate; tests the slot seq for the same reason
+  // as CanPop.
   bool CanPush() const {
     if (SizeRelaxed() >= capacity_) return false;
     uint64_t pos = head_.load(std::memory_order_relaxed);
     return slots_[pos & ring_mask_].seq.load(std::memory_order_acquire) == pos;
-  }
-
-  bool CanPop() const {
-    uint64_t pos = tail_.load(std::memory_order_relaxed);
-    return slots_[pos & ring_mask_].seq.load(std::memory_order_acquire) ==
-           pos + 1;
   }
 
   /// \brief Claims up to `n` contiguous free slots with one CAS, writes the
@@ -264,7 +265,7 @@ class Channel {
         slot.seq.store(pos + i + 1, std::memory_order_release);
       }
       pushed_.fetch_add(claim, std::memory_order_relaxed);
-      WakeConsumers();
+      WakeConsumer();
       return claim;
     }
   }
@@ -296,24 +297,27 @@ class Channel {
     }
   }
 
-  // Wake paths. The waiter-count check lets uncontended traffic skip the
-  // mutex entirely, but on its own it races: our release store of the slot
-  // seq and this load of the waiter count may reorder (StoreLoad is legal
-  // even under x86 TSO), while the parking side's waiter-count increment
-  // and its predicate's slot-seq load may likewise reorder. If both do, the
-  // waiter parks on a stale "no progress" seq and we skip the notify on a
-  // stale count of 0 — a missed wakeup that hangs the waiter forever. The
-  // seq_cst fences here and after the waiter-count increments in
-  // PushBatch/PopWait forbid that: in the single total order of seq_cst
-  // fences, either our fence comes first (the waiter's predicate sees the
-  // published seq and never blocks) or theirs does (we see the non-zero
-  // count and take the lock, which orders the notify after the predicate
-  // re-check).
-  void WakeConsumers() {
+  // Producer wake path. The waiter-count check lets uncontended traffic
+  // skip the mutex entirely, but on its own it races: our release store of
+  // the slot seq and this load of the waiter count may reorder (StoreLoad is
+  // legal even under x86 TSO), while the parking producer's waiter-count
+  // increment and its predicate's slot-seq load may likewise reorder. If
+  // both do, the producer parks on a stale "full" seq and we skip the notify
+  // on a stale count of 0 — a missed wakeup that hangs it forever. The
+  // seq_cst fences here and after the waiter-count increment in PushBatch
+  // forbid that: in the single total order of seq_cst fences, either our
+  // fence comes first (the producer's predicate sees the freed slot and
+  // never blocks) or theirs does (we see the non-zero count and take the
+  // lock, which orders the notify after the predicate re-check). The
+  // consumer side is the same argument with the task's WakeupWord.
+  // The fence orders the slot publish before the reads of consumer_ and of
+  // the word's parked flag; it pairs with the fence in WakeupWord::Park,
+  // which follows both the consumer's registration and its parked store.
+  void WakeConsumer() {
     std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (pop_waiters_.load(std::memory_order_relaxed) == 0) return;
-    std::lock_guard<std::mutex> lock(wait_mu_);
-    not_empty_.notify_all();
+    if (WakeupWord* w = consumer_.load(std::memory_order_relaxed)) {
+      w->SignalFenced();
+    }
   }
 
   void WakeProducers() {
@@ -335,12 +339,12 @@ class Channel {
   std::atomic<int64_t> blocked_nanos_{0};
   std::atomic<uint64_t> pushed_{0};
 
-  // Parked-waiter slow path; untouched while both sides keep up.
+  std::atomic<WakeupWord*> consumer_{nullptr};  ///< see SetConsumerWakeup
+
+  // Blocked-producer slow path; untouched while the consumer keeps up.
   std::mutex wait_mu_;
   std::condition_variable not_full_;
-  std::condition_variable not_empty_;
   std::atomic<uint32_t> push_waiters_{0};
-  std::atomic<uint32_t> pop_waiters_{0};
 };
 
 }  // namespace evo::dataflow

@@ -68,11 +68,18 @@ JobRunner::JobRunner(const Topology& topology, JobConfig config)
         first_error_ = task + ": " + st.ToString();
       }
     }
+    task_done_cv_.notify_all();
     if (journal_ != nullptr) {
       journal_->Emit(obs::EventType::kTaskFailed, "task:" + task,
                      st.ToString());
     }
     EVO_LOG_WARN << "task failed: " << task << " " << st.ToString();
+  };
+  runtime_.on_finish = [this] {
+    // Passing through mu_ orders the finished flag before a waiter's next
+    // predicate check, so the notify cannot fall between check and wait.
+    { std::lock_guard<std::mutex> lock(mu_); }
+    task_done_cv_.notify_all();
   };
 
   // EvoScope Live: journal + queryable-state registry.
@@ -198,6 +205,10 @@ Status JobRunner::Start(const JobSnapshot* restore_from) {
         obs::TaskMetricName("task_busy_ratio", task->vertex(), task->subtask()));
     g.timers_pending = metrics_.GetGauge(obs::TaskMetricName(
         "task_timers_pending", task->vertex(), task->subtask()));
+    g.parked_ms = metrics_.GetGauge(
+        obs::TaskMetricName("task_parked_ms", task->vertex(), task->subtask()));
+    g.wakeups = metrics_.GetGauge(obs::TaskMetricName(
+        "task_wakeups_total", task->vertex(), task->subtask()));
     task_gauges_.push_back(g);
   }
 
@@ -291,27 +302,24 @@ std::string JobRunner::BuildTopologyJson() const {
 }
 
 Status JobRunner::AwaitCompletion(int64_t timeout_ms) {
-  Stopwatch elapsed;
-  while (true) {
-    bool all_done = true;
+  auto done = [this] {
+    if (first_error_.has_value()) return true;
     for (const auto& task : tasks_) {
-      if (!task->finished()) {
-        all_done = false;
-        break;
-      }
+      if (!task->finished()) return false;
     }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (first_error_.has_value()) {
-        return Status::Aborted(*first_error_);
-      }
-    }
-    if (all_done) return Status::OK();
-    if (timeout_ms > 0 && elapsed.ElapsedMillis() > timeout_ms) {
+    return true;
+  };
+  std::unique_lock<std::mutex> lock(mu_);
+  if (timeout_ms > 0) {
+    if (!task_done_cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms),
+                                done)) {
       return Status::TimedOut("job did not finish in time");
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  } else {
+    task_done_cv_.wait(lock, done);
   }
+  if (first_error_.has_value()) return Status::Aborted(*first_error_);
+  return Status::OK();
 }
 
 void JobRunner::Stop() {
@@ -506,6 +514,8 @@ void JobRunner::PublishMetrics() {
     g.records_out->Set(static_cast<double>(task.RecordsOut()));
     g.busy_ratio->Set(task.BusyRatio());
     g.timers_pending->Set(static_cast<double>(task.TimersPending()));
+    g.parked_ms->Set(task.ParkedMillis());
+    g.wakeups->Set(static_cast<double>(task.Wakeups()));
   }
   {
     // Backpressure edge detection: a channel goes "backpressured" when it is

@@ -190,6 +190,9 @@ class JobRunner {
     Gauge* busy_ratio = nullptr;
     /// Pending timers as of the task's last watermark or checkpoint.
     Gauge* timers_pending = nullptr;
+    /// Time parked on the task's wakeup word, and parks ended by a signal.
+    Gauge* parked_ms = nullptr;
+    Gauge* wakeups = nullptr;
   };
   std::vector<TaskGauges> task_gauges_;
   /// Per-channel probe for PublishMetrics (one per physical channel). All
@@ -222,6 +225,8 @@ class JobRunner {
 
   mutable std::mutex mu_;
   std::condition_variable checkpoint_cv_;
+  /// Notified when a task finishes or reports an error (AwaitCompletion).
+  std::condition_variable task_done_cv_;
   uint64_t next_checkpoint_id_ = 0;
   size_t expected_acks_ = 0;
   struct Pending {

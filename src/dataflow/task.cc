@@ -8,6 +8,38 @@
 
 namespace evo::dataflow {
 
+namespace {
+
+/// After the last sweep that made progress, an idle operator task
+/// yield-spins this long before it parks. Open-loop records arriving in
+/// that window skip the futex round trip; an idle task never spins.
+constexpr int64_t kIdleSpinNanos = 50'000;
+/// Upper bound of one operator park. Every wake condition is signalled;
+/// the bound only re-checks state that is not (a manual clock's
+/// processing-time timers).
+constexpr int64_t kMaxParkMs = 100;
+/// For kWarmNanos after its last progress, an operator task parks for at
+/// most kWarmParkNanos at a time. On a KVM guest a vCPU that halts for
+/// longer than the host's halt-polling window (200 us by default) is
+/// descheduled, and on a busy host waking it costs milliseconds: parking
+/// whole gaps between open-loop records doubled steal time and added 5-10 ms
+/// stalls at the tail. An idle task goes back to kMaxParkMs parks.
+constexpr int64_t kWarmNanos = 5'000'000;
+constexpr int64_t kWarmParkNanos = 100'000;
+/// An idle source re-polls its Next() this often: new source data is not
+/// signalled.
+constexpr int64_t kSourceIdleParkMs = 1;
+/// Feedback-loop quiescence must hold this long before the job finishes.
+constexpr int64_t kFeedbackQuietMs = 50;
+
+int64_t SteadyNanos() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // GateCollector: routes operator emissions through the output gates.
 // ---------------------------------------------------------------------------
@@ -184,6 +216,13 @@ void Task::Join() {
   if (thread_.joinable()) thread_.join();
 }
 
+double Task::ParkedMillis() const {
+  int64_t nanos = parked_nanos_.load(std::memory_order_relaxed);
+  const int64_t began = park_began_.load(std::memory_order_relaxed);
+  if (began != 0) nanos += std::max<int64_t>(SteadyNanos() - began, 0);
+  return static_cast<double>(nanos) / 1e6;
+}
+
 double Task::BusyRatio() const {
   int64_t alive = alive_.ElapsedNanos();
   if (alive <= 0) return 0;
@@ -206,6 +245,57 @@ void Task::Run() {
     runtime_->on_error(vertex_ + "[" + std::to_string(subtask_) + "]", st);
   }
   finished_.store(true, std::memory_order_release);
+  if (runtime_->on_finish) runtime_->on_finish();
+}
+
+template <typename Pred>
+void Task::ParkUntil(WakeupWord::TimePoint deadline, Pred ready) {
+  const int64_t began = SteadyNanos();
+  park_began_.store(began, std::memory_order_relaxed);
+  const bool woken = wakeup_.Park(deadline, ready);
+  const int64_t parked = SteadyNanos() - began;
+  // Clear before adding: a concurrent ParkedMillis() may briefly miss this
+  // park but never counts it twice.
+  park_began_.store(0, std::memory_order_relaxed);
+  parked_nanos_.fetch_add(parked, std::memory_order_relaxed);
+  if (woken) wakeups_.fetch_add(1, std::memory_order_relaxed);
+}
+
+void Task::ParkOperator(int64_t idle_nanos) {
+  int64_t bound_ms = kMaxParkMs;
+  const TimeMs due = timers_->processing_timers().NextDeadline();
+  if (due != kMaxWatermark) {
+    bound_ms = std::min(bound_ms, due - runtime_->clock->NowMs());
+  }
+  if (feedback_quiet_) {
+    const auto quiet_ms =
+        static_cast<int64_t>(feedback_quiet_since_.ElapsedMillis());
+    bound_ms = std::min(bound_ms, kFeedbackQuietMs + 1 - quiet_ms);
+  }
+  if (bound_ms <= 0) return;  // a timer or the grace is due: sweep again
+  const auto now = std::chrono::steady_clock::now();
+  auto deadline = now + std::chrono::milliseconds(bound_ms);
+  if (idle_nanos < kWarmNanos) {
+    deadline =
+        std::min(deadline, now + std::chrono::nanoseconds(kWarmParkNanos));
+  }
+  ParkUntil(deadline, [this] { return OperatorReady(); });
+}
+
+bool Task::OperatorReady() const {
+  if (cancelled_.load(std::memory_order_acquire) ||
+      failed_.load(std::memory_order_acquire) ||
+      checkpoint_complete_.load(std::memory_order_acquire) >
+          last_complete_handled_) {
+    return true;
+  }
+  for (size_t i = 0; i < inputs_.size(); ++i) {
+    if (!input_ended_[i] && !input_blocked_[i] &&
+        inputs_[i].channel->CanPop()) {
+      return true;
+    }
+  }
+  return false;
 }
 
 Status Task::RunSourceLoop() {
@@ -255,7 +345,17 @@ Status Task::RunSourceLoop() {
         BroadcastControl(poll.control);
         break;
       case SourcePoll::Kind::kIdle:
-        runtime_->clock->SleepMs(1);
+        // New source data is not signalled, so the park is short; control
+        // calls end it at once.
+        ParkUntil(std::chrono::steady_clock::now() +
+                      std::chrono::milliseconds(kSourceIdleParkMs),
+                  [this] {
+                    return cancelled_.load(std::memory_order_acquire) ||
+                           failed_.load(std::memory_order_acquire) ||
+                           checkpoint_request_.load(
+                               std::memory_order_acquire) >
+                               last_checkpoint_done_;
+                  });
         break;
       case SourcePoll::Kind::kEnd:
         EmitEndOfStream();
@@ -311,6 +411,8 @@ Status Task::RunOperatorLoop() {
   PublishQueryableState();
 
   size_t cursor = 0;
+  bool idle = false;     // the last sweep made no progress
+  Stopwatch idle_since;  // start of the current run of idle sweeps
   while (!cancelled_.load(std::memory_order_acquire)) {
     if (failed_.load(std::memory_order_acquire)) {
       return Status::Aborted("injected failure");
@@ -356,7 +458,7 @@ Status Task::RunOperatorLoop() {
           feedback_quiet_since_.Reset();
           done = false;
         } else {
-          done = feedback_quiet_since_.ElapsedMillis() > 50;
+          done = feedback_quiet_since_.ElapsedMillis() > kFeedbackQuietMs;
         }
       }
       if (done) {
@@ -368,10 +470,16 @@ Status Task::RunOperatorLoop() {
         return Status::OK();
       }
     }
-    if (!progressed) {
-      // Nothing to do: yield briefly. Use the coarse clock sleep so manual
-      // clocks in tests advance.
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    if (progressed) {
+      idle = false;
+    } else if (!idle) {
+      idle = true;
+      idle_since.Reset();
+      std::this_thread::yield();
+    } else if (idle_since.ElapsedNanos() < kIdleSpinNanos) {
+      std::this_thread::yield();
+    } else {
+      ParkOperator(idle_since.ElapsedNanos());
     }
   }
   return Status::OK();
@@ -530,7 +638,11 @@ Status Task::HandleBarrier(size_t input_index, uint64_t checkpoint_id,
   ++barriers_seen_;
   if (mode == CheckpointMode::kAligned) {
     // Stop reading this channel until alignment completes (exactly-once).
+    // Its pushes cannot make this task ready until then, so they must not
+    // wake it either: each would cost the producer a futex wake and this
+    // task a spurious sweep.
     input_blocked_[input_index] = true;
+    inputs_[input_index].channel->SetConsumerWakeup(nullptr);
   }
 
   size_t expected = 0;
@@ -552,7 +664,11 @@ Status Task::HandleBarrier(size_t input_index, uint64_t checkpoint_id,
   // registered lazily since Open — external queries see it mid-job.
   PublishQueryableState();
   BroadcastControl(StreamElement::Barrier(checkpoint_id, mode));
-  std::fill(input_blocked_.begin(), input_blocked_.end(), false);
+  for (size_t i = 0; i < inputs_.size(); ++i) {
+    if (!input_blocked_[i]) continue;
+    input_blocked_[i] = false;
+    inputs_[i].channel->SetConsumerWakeup(&wakeup_);
+  }
   return Status::OK();
 }
 

@@ -15,11 +15,16 @@
 ///  - latency-marker forwarding
 ///  - end-of-stream draining, including cycle quiescence via a shared
 ///    in-flight feedback counter
+///  - idling: after a short yield-spin the task parks on its WakeupWord,
+///    which input pushes and control calls (cancel, failure, checkpoint
+///    request/complete) signal; a park never outlasts the next due
+///    processing-time timer
 ///
 /// This is the in-process substitute for a distributed TaskManager slot; all
 /// algorithmic behaviour (alignment, backpressure, migration) is the same.
 
 #include <atomic>
+#include <chrono>
 #include <functional>
 #include <memory>
 #include <string>
@@ -32,6 +37,7 @@
 #include "dataflow/channel.h"
 #include "dataflow/operator.h"
 #include "dataflow/source.h"
+#include "dataflow/wakeup.h"
 #include "obs/journal.h"
 #include "obs/tracing.h"
 #include "state/backend.h"
@@ -97,6 +103,9 @@ struct TaskRuntime {
   std::function<void(int64_t latency_ms)> on_latency;
   /// Fatal task error reporting.
   std::function<void(const std::string& task, const Status&)> on_error;
+  /// Called on the task thread right after the task finished (after
+  /// on_error, if it failed).
+  std::function<void()> on_finish;
   /// EvoScope Live: structured control-plane event journal (may be null).
   obs::EventJournal* journal = nullptr;
   /// Queryable-state registry; stateful tasks auto-publish each registered
@@ -123,7 +132,12 @@ class Task {
   Task(const Task&) = delete;
   Task& operator=(const Task&) = delete;
 
-  void AddInput(InputChannel in) { inputs_.push_back(in); }
+  /// \brief Adds an input; its pushes signal this task's wakeup word. Call
+  /// before any producer of the channel starts.
+  void AddInput(InputChannel in) {
+    in.channel->SetConsumerWakeup(&wakeup_);
+    inputs_.push_back(in);
+  }
   void AddOutput(OutputGate gate) { outputs_.push_back(std::move(gate)); }
 
   /// \brief Picks what to restore before Start() from the snapshots of this
@@ -136,7 +150,10 @@ class Task {
   /// \brief Spawns the task thread.
   void Start();
   /// \brief Requests cooperative cancellation (thread joined in Join()).
-  void Cancel() { cancelled_.store(true, std::memory_order_release); }
+  void Cancel() {
+    cancelled_.store(true, std::memory_order_release);
+    wakeup_.Signal();
+  }
   /// \brief Waits for the task thread to finish.
   void Join();
 
@@ -144,16 +161,21 @@ class Task {
   /// inject a barrier for the given checkpoint id.
   void RequestCheckpoint(uint64_t checkpoint_id) {
     checkpoint_request_.store(checkpoint_id, std::memory_order_release);
+    wakeup_.Signal();
   }
 
   /// \brief Injects a simulated crash: the task stops processing abruptly
   /// (no Close(), no flush) as a process failure would.
-  void InjectFailure() { failed_.store(true, std::memory_order_release); }
+  void InjectFailure() {
+    failed_.store(true, std::memory_order_release);
+    wakeup_.Signal();
+  }
 
   /// \brief Informs the task that a checkpoint completed job-wide; the
   /// operator's OnCheckpointComplete runs on the task thread.
   void NotifyCheckpointComplete(uint64_t checkpoint_id) {
     checkpoint_complete_.store(checkpoint_id, std::memory_order_release);
+    wakeup_.Signal();
   }
 
   /// \brief Revokes this task's backend from the queryable-state registry so
@@ -173,6 +195,14 @@ class Task {
   double BusyRatio() const;
   uint64_t RecordsIn() const { return records_in_; }
   uint64_t RecordsOut() const { return records_out_; }
+  /// \brief Milliseconds spent parked on the wakeup word since the start,
+  /// including the park in progress; exported as task_parked_ms.
+  double ParkedMillis() const;
+  /// \brief Parks ended by a signal or a ready input rather than by their
+  /// deadline; exported as task_wakeups_total.
+  uint64_t Wakeups() const { return wakeups_.load(std::memory_order_relaxed); }
+  /// \brief Whether the task thread is parked right now.
+  bool parked() const { return wakeup_.parked(); }
 
   /// \brief Pending event- and processing-time timers, as counted by the
   /// task thread at its last watermark or checkpoint (the reporter never
@@ -189,6 +219,17 @@ class Task {
   Status RunSourceLoop();
   Status RunOperatorLoop();
   void PublishQueryableState();
+
+  /// Parks on the wakeup word until `ready()`, a signal or `deadline`, and
+  /// accounts the park in the task_parked_ms / task_wakeups_total metrics.
+  template <typename Pred>
+  void ParkUntil(WakeupWord::TimePoint deadline, Pred ready);
+  /// Operator idle path: parks until an input is ready or a control signal
+  /// arrives, bounded by the next processing timer and the feedback grace,
+  /// and briefly while the task was busy within the last few ms.
+  void ParkOperator(int64_t idle_nanos);
+  /// The operator's park predicate: something for the next sweep to do.
+  bool OperatorReady() const;
 
   Status HandleElement(size_t input_index, StreamElement element);
   Status HandleRecord(size_t ordinal, Record record);
@@ -245,6 +286,7 @@ class Task {
   size_t queryable_published_ = 0;  ///< state names already exported
 
   std::unique_ptr<GateCollector> collector_;
+  WakeupWord wakeup_;
   std::thread thread_;
   std::atomic<bool> cancelled_{false};
   std::atomic<bool> failed_{false};
@@ -258,6 +300,10 @@ class Task {
   std::atomic<uint64_t> records_in_{0};
   std::atomic<uint64_t> records_out_{0};
   std::atomic<int64_t> busy_nanos_{0};
+  std::atomic<int64_t> parked_nanos_{0};  ///< finished parks
+  /// Steady-clock nanos when the park in progress began; 0 when not parked.
+  std::atomic<int64_t> park_began_{0};
+  std::atomic<uint64_t> wakeups_{0};
   Stopwatch alive_;
 
   // EvoScope instrumentation (null when runtime has no registry). Pointers

@@ -17,7 +17,10 @@
 ///    barrier alignment, drops snapshot acks, duplicates/drops barriers on
 ///    the wire, crashes the sink between prepare and commit, and fails
 ///    snapshot-store saves. After every crash the job restarts from the
-///    latest *completed* checkpoint. Invariants: committed output is always
+///    latest *completed* checkpoint. With `parked_kills` the schedule is
+///    instead a seeded series of kills of operator tasks parked on their
+///    wakeup word: each kill must end the park at once and surface as the
+///    job's first error. Invariants: committed output is always
 ///    a sub-multiset of the fault-free output (no uncommitted epoch becomes
 ///    visible, no duplicates), and the run ends with the two equal — exactly
 ///    once despite every fault.
@@ -49,6 +52,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -108,6 +112,9 @@ class ChaosRunner {
     /// When false, arm the injector but install no rules: the fault-free
     /// baseline the chaotic runs are compared against.
     bool install_rules = true;
+    /// Kill 1-3 operator tasks, each once it is parked (idle) and after a
+    /// seeded number of completed checkpoints in its incarnation.
+    bool parked_kills = false;
   };
 
   explicit ChaosRunner(Options options) : options_(options) {}
@@ -120,6 +127,7 @@ class ChaosRunner {
       InstallRules(&driver_rng);
       kills_left_ = driver_rng.NextBounded(3);
     }
+    if (options_.parked_kills) kills_left_ = 1 + driver_rng.NextBounded(3);
 
     dataflow::ReplayableLog log;
     for (size_t i = 0; i < options_.num_records; ++i) {
@@ -332,6 +340,9 @@ class ChaosRunner {
     Status started = runner.Start(latest->has_value() ? &**latest : nullptr);
     if (started.ok()) {
       int stalled_checkpoints = 0;
+      int checkpoints_done = 0;
+      const int checkpoints_before_kill =
+          static_cast<int>(driver_rng->NextBounded(3));
       while (true) {
         if (inj.TakeCrashRequest() || runner.FirstError().has_value()) break;
         if (budget->ElapsedMillis() > options_.wall_budget_ms) break;
@@ -345,8 +356,17 @@ class ChaosRunner {
           outcome = Outcome::kCompleted;
           break;
         }
+        if (options_.parked_kills && kills_left_ > 0 &&
+            checkpoints_done >= checkpoints_before_kill) {
+          --kills_left_;
+          if (!KillParkedTask(&runner, driver_rng, report)) {
+            outcome = Outcome::kViolation;
+          }
+          break;  // crashed: restart from the latest completed checkpoint
+        }
         // Driver-scheduled process kill, on top of the injector's own.
-        if (kills_left_ > 0 && driver_rng->NextBool(0.15)) {
+        if (!options_.parked_kills && kills_left_ > 0 &&
+            driver_rng->NextBool(0.15)) {
           --kills_left_;
           static constexpr const char* kVictims[] = {"src", "count", "count",
                                                      "tpc-sink"};
@@ -356,6 +376,7 @@ class ChaosRunner {
         }
         if (runner.TriggerCheckpoint(options_.checkpoint_timeout_ms).ok()) {
           stalled_checkpoints = 0;
+          ++checkpoints_done;
         } else if (++stalled_checkpoints >= 2) {
           // A dropped barrier wedges alignment for good (blocked inputs wait
           // for a barrier that never arrives). A real coordinator aborts the
@@ -379,6 +400,36 @@ class ChaosRunner {
     }
     inj.AttachJournal(nullptr);
     return outcome;
+  }
+
+  /// Picks a seeded operator task, waits until it is parked on its wakeup
+  /// word and kills it. The kill must end the park and fail the job at
+  /// once; false (with `report` failed) when it does not.
+  bool KillParkedTask(dataflow::JobRunner* runner, Rng* driver_rng,
+                      ChaosReport* report) {
+    static constexpr std::pair<const char*, uint32_t> kVictims[] = {
+        {"count", 0}, {"count", 1}, {"tpc-sink", 0}};
+    const auto& [vertex, subtask] = kVictims[driver_rng->NextBounded(3)];
+    dataflow::Task* victim = runner->FindTask(vertex, subtask);
+    Stopwatch waited;
+    while (!victim->parked()) {
+      if (waited.ElapsedMillis() > 5000) {
+        report->Fail(options_.seed,
+                     std::string(vertex) + " never parked while idle");
+        return false;
+      }
+      std::this_thread::yield();
+    }
+    (void)runner->InjectFailure(vertex, subtask);
+    Status st = runner->AwaitCompletion(/*timeout_ms=*/5000);
+    if (st.code() != StatusCode::kAborted ||
+        st.ToString().find("injected failure") == std::string::npos) {
+      report->Fail(options_.seed, "killing parked " + std::string(vertex) +
+                                      " did not fail the job: " +
+                                      st.ToString());
+      return false;
+    }
+    return true;
   }
 
   Options options_;

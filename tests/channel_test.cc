@@ -1,6 +1,7 @@
 // Tests for the data plane: ring-buffer channel semantics (batch FIFO order,
 // blocking backpressure, close-wakes-producers, MPMC stress with concurrent
-// lock-free metric reads) and record/control ordering through real
+// lock-free metric reads), the task wakeup protocol (seeded lost-wakeup
+// races against a parking task) and record/control ordering through real
 // pipelines (hash/broadcast delivery, watermark and barrier ordering,
 // exactly-once across failure, and the backpressure signals load shedding
 // depends on surviving the ring rewrite).
@@ -10,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <deque>
 #include <map>
 #include <set>
 #include <thread>
@@ -19,6 +21,7 @@
 #include "dataflow/job.h"
 #include "dataflow/topology.h"
 #include "loadmgmt/shedding.h"
+#include "state/mem_backend.h"
 #include "testing/fault_injector.h"
 
 namespace evo::dataflow {
@@ -239,6 +242,177 @@ TEST(RingChannelStressTest, MpmcBatchesNoLossNoDuplicationOrderPerProducer) {
             static_cast<uint64_t>(kProducers) * kPerProducer);
   for (int p = 0; p < kProducers; ++p) {
     EXPECT_EQ(last_seen[p], kPerProducer - 1);  // nothing lost at the tail
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Task wakeup word: seeded lost-wakeup races
+// ---------------------------------------------------------------------------
+//
+// For 5 ms after its last progress an operator task parks at most 100 us
+// at a time, which would hide a lost wakeup. After that it parks for up to
+// 100 ms when no processing timer is pending. The races below therefore
+// land on those long parks: a wakeup lost there shows up as a delivery that
+// waits the park out, so each test asserts every delivery lands well inside
+// it.
+
+constexpr int64_t kLostWakeupNanos = 50'000'000;  // half the park bound
+constexpr int64_t kWarmNanos = 5'000'000;         // short parks until then
+
+int64_t SteadyNanos() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+void SpinFor(int64_t nanos) {
+  const int64_t until = SteadyNanos() + nanos;
+  while (SteadyNanos() < until) {
+  }
+}
+
+/// Counts records per input. With `timer_after_ms` > 0 it also registers a
+/// processing-time timer that far ahead for every record, so the task's next
+/// park ends at that timer.
+class InputCounter final : public Operator {
+ public:
+  InputCounter(std::atomic<uint64_t>* counts, int64_t timer_after_ms)
+      : counts_(counts), timer_after_ms_(timer_after_ms) {}
+  Status ProcessRecord(Record&, Collector*) override { return Status::OK(); }
+  Status ProcessRecordFrom(size_t input, Record& record,
+                           Collector*) override {
+    if (timer_after_ms_ > 0) {
+      ctx_->timers()->processing_timers().Register(
+          ctx_->timers()->CurrentProcessingTime() + timer_after_ms_, record.key);
+    }
+    counts_[input].fetch_add(1, std::memory_order_release);
+    return Status::OK();
+  }
+
+ private:
+  std::atomic<uint64_t>* counts_;
+  int64_t timer_after_ms_;
+};
+
+/// One operator task over `inputs` hand-driven channels.
+struct ParkingTask {
+  ParkingTask(size_t inputs, int64_t timer_after_ms) : channels(inputs) {
+    task = std::make_unique<Task>(
+        "probe", 0, 1, KeyGroup::kDefaultMaxParallelism,
+        std::make_unique<InputCounter>(counts, timer_after_ms),
+        std::make_unique<state::MemBackend>(KeyGroup::kDefaultMaxParallelism),
+        &runtime);
+    for (size_t i = 0; i < inputs; ++i) {
+      InputChannel in;
+      in.channel = &channels[i];
+      in.ordinal = i;
+      task->AddInput(in);
+    }
+    task->Start();
+  }
+  ~ParkingTask() {
+    task->Cancel();
+    task->Join();
+  }
+
+  /// Spins until input `i` has delivered `n` records; false after 5 s.
+  bool AwaitCount(size_t i, uint64_t n) {
+    const int64_t give_up = SteadyNanos() + 5'000'000'000;
+    while (counts[i].load(std::memory_order_acquire) < n) {
+      if (SteadyNanos() > give_up) return false;
+      std::this_thread::yield();
+    }
+    return true;
+  }
+
+  std::atomic<uint64_t> counts[2];
+  TaskRuntime runtime;
+  std::deque<Channel> channels;
+  std::unique_ptr<Task> task;  // last: stops before the channels go
+};
+
+StreamElement KeyedRecord(uint64_t key) {
+  Record r(0, Value(int64_t{1}));
+  r.key = key;
+  return StreamElement::OfRecord(std::move(r));
+}
+
+TEST(TaskWakeupRaceTest, PushToOpenInputWakesTaskWhoseOtherInputIsBlocked) {
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    ParkingTask t(/*inputs=*/2, /*timer_after_ms=*/0);
+    // Input 0 delivers checkpoint 1's barrier and blocks for alignment;
+    // records queue up behind it. They are poppable but not ready: the task
+    // must still park, and must not read them before alignment completes.
+    ASSERT_TRUE(t.channels[0].Push(
+        StreamElement::Barrier(1, CheckpointMode::kAligned)));
+    for (int i = 0; i < 3; ++i) ASSERT_TRUE(t.channels[0].Push(KeyedRecord(i)));
+
+    int64_t worst = 0;
+    constexpr uint64_t kRounds = 60;
+    for (uint64_t round = 0; round < kRounds; ++round) {
+      // Land the push exactly as the task enters its first long park: after
+      // a seeded delay around the end of the short-park window, or once it
+      // is well into a long park.
+      if (rng.NextBool(0.25)) {
+        SpinFor(kWarmNanos + 1'000'000);
+        while (!t.task->parked()) std::this_thread::yield();
+      } else {
+        SpinFor(kWarmNanos - 150'000 +
+                static_cast<int64_t>(rng.NextBounded(400'000)));
+      }
+      const int64_t pushed = SteadyNanos();
+      ASSERT_TRUE(t.channels[1].Push(KeyedRecord(round)));
+      ASSERT_TRUE(t.AwaitCount(1, round + 1));
+      worst = std::max(worst, SteadyNanos() - pushed);
+    }
+    EXPECT_LT(worst, kLostWakeupNanos) << "worst delivery " << worst << " ns";
+    EXPECT_EQ(t.counts[0].load(), 0u);  // blocked input never read
+    EXPECT_GT(t.task->Wakeups(), 0u);   // the task did park and get woken
+    // The blocked input's queued records do not keep the task awake, and
+    // more pushes to it do not wake it: left alone, it stays parked.
+    while (!t.task->parked()) std::this_thread::yield();
+    const uint64_t wakeups_before = t.task->Wakeups();
+    const double parked_before = t.task->ParkedMillis();
+    for (int i = 0; i < 5; ++i) ASSERT_TRUE(t.channels[0].Push(KeyedRecord(i)));
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    EXPECT_GT(t.task->ParkedMillis() - parked_before, 100.0);
+    EXPECT_EQ(t.task->Wakeups(), wakeups_before);
+
+    // Input 1's barrier completes the alignment; the queued records follow.
+    ASSERT_TRUE(t.channels[1].Push(
+        StreamElement::Barrier(1, CheckpointMode::kAligned)));
+    ASSERT_TRUE(t.AwaitCount(0, 8));
+    // Unblocked, input 0 wakes the task again.
+    while (!t.task->parked()) std::this_thread::yield();
+    const int64_t pushed = SteadyNanos();
+    ASSERT_TRUE(t.channels[0].Push(KeyedRecord(9)));
+    ASSERT_TRUE(t.AwaitCount(0, 9));
+    EXPECT_LT(SteadyNanos() - pushed, kLostWakeupNanos);
+  }
+}
+
+TEST(TaskWakeupRaceTest, SignalRacingParkTimeoutIsNotLost) {
+  // Each record arms a processing timer 7 ms out, so the task's first long
+  // park (from 5 ms) times out at that timer; once it fires nothing is
+  // pending and the park after it is the full 100 ms. Pushes land around
+  // the timeout: a signal swallowed by the timed-out park would cost that
+  // full park.
+  for (uint64_t seed : {11u, 12u, 13u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    ParkingTask t(/*inputs=*/1, /*timer_after_ms=*/7);
+    int64_t worst = 0;
+    constexpr uint64_t kRounds = 40;
+    for (uint64_t round = 0; round < kRounds; ++round) {
+      SpinFor(6'000'000 + static_cast<int64_t>(rng.NextBounded(2'000'000)));
+      const int64_t pushed = SteadyNanos();
+      ASSERT_TRUE(t.channels[0].Push(KeyedRecord(round)));
+      ASSERT_TRUE(t.AwaitCount(0, round + 1));
+      worst = std::max(worst, SteadyNanos() - pushed);
+    }
+    EXPECT_LT(worst, kLostWakeupNanos) << "worst delivery " << worst << " ns";
   }
 }
 

@@ -67,6 +67,21 @@ TEST(ChaosPipelineTest, ExactlyOnceAcrossSeededCrashSchedules) {
   }
 }
 
+TEST(ChaosPipelineTest, ExactlyOnceWhenParkedOperatorTasksAreKilled) {
+  // Every kill lands on a task parked on its wakeup word: the failure
+  // signal must end the park, the job must fail over, and the restored
+  // runs must still commit exactly the fault-free output.
+  for (uint64_t seed : SeedsFor(5000, 6)) {
+    ChaosRunner::Options options;
+    options.seed = seed;
+    options.install_rules = false;
+    options.parked_kills = true;
+    ChaosReport report = ChaosRunner(options).Run();
+    ASSERT_TRUE(report.ok) << report.error;
+    EXPECT_GE(report.restarts, 1);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // WAL / LSM storage faults
 // ---------------------------------------------------------------------------

@@ -208,7 +208,7 @@ TEST(ClockTest, ManualClockAdvances) {
   EXPECT_EQ(clock.NowMs(), 1000);
   clock.AdvanceMs(500);
   EXPECT_EQ(clock.NowMs(), 1500);
-  clock.SleepMs(250);  // advances instead of blocking
+  clock.SetMs(1750);
   EXPECT_EQ(clock.NowMs(), 1750);
 }
 

@@ -6,12 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 
 #include "actors/statefun.h"
 #include "common/rng.h"
 #include "dataflow/channel.h"
 #include "dataflow/dynamic.h"
+#include "dataflow/wakeup.h"
 #include "ml/serving.h"
 
 namespace evo {
@@ -19,6 +21,8 @@ namespace {
 
 TEST(ChannelStressTest, MultipleProducersNoLossNoDuplication) {
   dataflow::Channel channel(64);  // small: forces constant backpressure
+  dataflow::WakeupWord wakeup;     // the consumer parks here, as a task does
+  channel.SetConsumerWakeup(&wakeup);
   const int kProducers = 4;
   const int kPerProducer = 20000;
 
@@ -38,8 +42,14 @@ TEST(ChannelStressTest, MultipleProducersNoLossNoDuplication) {
   std::thread consumer([&] {
     size_t expected = static_cast<size_t>(kProducers) * kPerProducer;
     while (seen.size() < expected) {
-      auto e = channel.PopWait(100);
-      if (e.has_value()) seen.push_back(e->record.payload.AsInt());
+      auto e = channel.TryPop();
+      if (e.has_value()) {
+        seen.push_back(e->record.payload.AsInt());
+        continue;
+      }
+      wakeup.Park(std::chrono::steady_clock::now() +
+                      std::chrono::milliseconds(100),
+                  [&] { return channel.CanPop(); });
     }
   });
   for (auto& t : producers) t.join();

@@ -4,8 +4,10 @@
 // state), rescaling with state migration, and cyclic (feedback) dataflows.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <set>
 
@@ -699,6 +701,146 @@ TEST(BackpressureTest, SlowSinkBlocksProducersWithoutLoss) {
   ASSERT_TRUE(runner.AwaitCompletion(30000).ok());
   runner.Stop();
   EXPECT_EQ(seen.load(), 2000u);  // nothing lost, source was paced
+}
+
+// ---------------------------------------------------------------------------
+// Idle tasks park; AwaitCompletion waits on task completion, not a poll
+// ---------------------------------------------------------------------------
+
+/// Never has input: every poll is idle.
+class IdleSource final : public Source {
+ public:
+  SourcePoll Next() override { return SourcePoll::Idle(); }
+};
+
+/// Emits `n` records, then idles forever (an unbounded source gone quiet).
+class CountThenIdleSource final : public Source {
+ public:
+  explicit CountThenIdleSource(int64_t n) : n_(n) {}
+  SourcePoll Next() override {
+    if (next_ >= n_) return SourcePoll::Idle();
+    const int64_t i = next_++;
+    return SourcePoll::Of(Record(i, Value::Tuple("k", i)));
+  }
+
+ private:
+  int64_t n_;
+  int64_t next_ = 0;
+};
+
+int64_t SteadyNanos() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+/// Sanitizer builds multiply the CPU cost of every wakeup (instrumented
+/// atomics, mutexes and syscalls); CPU budgets scale by this factor there.
+#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
+constexpr double kSanitizerCpuFactor = 3.0;
+#else
+constexpr double kSanitizerCpuFactor = 1.0;
+#endif
+
+double ProcessCpuMillis() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  auto ms = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) * 1e3 +
+           static_cast<double>(tv.tv_usec) / 1e3;
+  };
+  return ms(usage.ru_utime) + ms(usage.ru_stime);
+}
+
+TEST(IdleJobTest, StartedJobWithNoInputUsesNearZeroCpu) {
+  // EvoBench's shape: source(1) -> op(2) -> sink(1), four task threads.
+  // With nothing to do, the operator tasks park until signalled and the
+  // source re-polls once per millisecond; that poll is most of the budget
+  // (about 12 ms/s on a 4-vCPU VM). Operator tasks that instead sleep
+  // 100 us per idle sweep cost 66-133 ms/s on the same machine.
+  Topology topo;
+  auto src =
+      topo.AddSource("src", [] { return std::make_unique<IdleSource>(); });
+  auto op = topo.Map(src, "op", [](const Value& v) { return v; }, 2);
+  topo.Sink(op, "sink", [](const Record&) {});
+  JobRunner runner(topo, JobConfig{});
+  ASSERT_TRUE(runner.Start().ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));  // settle
+
+  const double cpu_before = ProcessCpuMillis();
+  Stopwatch wall;
+  std::this_thread::sleep_for(std::chrono::seconds(1));
+  const double cpu_ms = ProcessCpuMillis() - cpu_before;
+  const double wall_s = wall.ElapsedSeconds();
+  runner.Stop();
+  RecordProperty("cpu_ms_per_s", std::to_string(cpu_ms / wall_s));
+  EXPECT_LT(cpu_ms / wall_s, 20.0 * kSanitizerCpuFactor) << "idle job used " << cpu_ms
+                                   << " ms of CPU in " << wall_s << " s";
+}
+
+TEST(AwaitCompletionTest, ReturnsPromptlyWhenLastTaskFinishes) {
+  ReplayableLog log = MakeWordLog(500, 7);
+  std::atomic<int64_t> sink_closed_ns{0};
+  Topology topo;
+  auto src = topo.AddSource("src", [&] {
+    return std::make_unique<LogSource>(&log);
+  });
+  auto op = topo.Map(src, "op", [](const Value& v) { return v; }, 2);
+  auto sink = topo.AddOperator("sink", [&] {
+    ProcessOperator::Hooks hooks;
+    hooks.on_close = [&](OperatorContext*, Collector*) {
+      sink_closed_ns.store(SteadyNanos());
+      return Status::OK();
+    };
+    return std::make_unique<ProcessOperator>(hooks);
+  });
+  ASSERT_TRUE(topo.Connect(op, sink, Partitioning::kRebalance).ok());
+
+  JobRunner runner(topo, JobConfig{});
+  ASSERT_TRUE(runner.Start().ok());
+  ASSERT_TRUE(runner.AwaitCompletion(10000).ok());
+  const int64_t returned_ns = SteadyNanos();
+  runner.Stop();
+  // The sink closes last; all that follows is its end-of-stream bookkeeping
+  // and the notify.
+  ASSERT_GT(sink_closed_ns.load(), 0);
+  EXPECT_LT(returned_ns - sink_closed_ns.load(), 10'000'000);
+}
+
+TEST(AwaitCompletionTest, ReturnsOnFirstErrorWhileOtherTasksRun) {
+  std::atomic<int64_t> failed_ns{0};
+  Topology topo;
+  auto src = topo.AddSource(
+      "src", [] { return std::make_unique<CountThenIdleSource>(100); });
+  auto op = topo.AddOperator(
+      "op",
+      [&] {
+        ProcessOperator::Hooks hooks;
+        hooks.on_record = [&](OperatorContext*, Record& r, Collector* out) {
+          if (r.payload.AsList()[1].AsInt() == 50) {
+            failed_ns.store(SteadyNanos());
+            return Status::Internal("boom at 50");
+          }
+          out->Emit(std::move(r));
+          return Status::OK();
+        };
+        return std::make_unique<ProcessOperator>(hooks);
+      });
+  ASSERT_TRUE(topo.Connect(src, op, Partitioning::kForward).ok());
+  topo.Sink(op, "sink", [](const Record&) {});
+
+  JobRunner runner(topo, JobConfig{});
+  ASSERT_TRUE(runner.Start().ok());
+  Status st = runner.AwaitCompletion(10000);
+  const int64_t returned_ns = SteadyNanos();
+  EXPECT_EQ(st.code(), StatusCode::kAborted) << st.ToString();
+  EXPECT_NE(st.ToString().find("boom at 50"), std::string::npos);
+  // The source and sink are still running (parked); only the error ended
+  // the wait.
+  EXPECT_FALSE(runner.FindTask("src", 0)->finished());
+  ASSERT_GT(failed_ns.load(), 0);
+  EXPECT_LT(returned_ns - failed_ns.load(), 10'000'000);
+  runner.Stop();
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -379,6 +380,55 @@ TEST(EvoScopeJobTest, TimersPendingGaugeShowsOneTimerPerKeyAndDrains) {
   EXPECT_EQ(pending->Value(), 0.0);
   runner.Stop();
   EXPECT_EQ(sink.Count(), 32u);
+}
+
+class NeverSource final : public dataflow::Source {
+ public:
+  dataflow::SourcePoll Next() override { return dataflow::SourcePoll::Idle(); }
+};
+
+TEST(EvoScopeJobTest, IdleJobParkedTimeCoversMostOfItsWallTime) {
+  dataflow::Topology topo;
+  auto src =
+      topo.AddSource("src", [] { return std::make_unique<NeverSource>(); });
+  auto op = topo.Map(src, "op", [](const Value& v) { return v; }, 2);
+  topo.Sink(op, "sink", [](const Record&) {});
+  dataflow::JobRunner runner(topo, dataflow::JobConfig{});
+  Stopwatch wall;
+  ASSERT_TRUE(runner.Start().ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  runner.PublishMetrics();
+  const double wall_ms = wall.ElapsedMillis();
+
+  const std::pair<const char*, uint32_t> kOperatorTasks[] = {
+      {"op", 0}, {"op", 1}, {"sink", 0}};
+  for (const auto& [vertex, subtask] : kOperatorTasks) {
+    SCOPED_TRACE(std::string(vertex) + "[" + std::to_string(subtask) + "]");
+    const double parked_ms =
+        runner.metrics()
+            ->GetGauge(obs::TaskMetricName("task_parked_ms", vertex, subtask))
+            ->Value();
+    EXPECT_GT(parked_ms, 0.8 * wall_ms);
+    EXPECT_LE(parked_ms, wall_ms);
+  }
+  std::string text = obs::ToPrometheusText(*runner.metrics());
+  EXPECT_NE(text.find("task_parked_ms{subtask=\"0\",vertex=\"op\"}"),
+            std::string::npos);
+  EXPECT_NE(text.find("task_wakeups_total{subtask=\"1\",vertex=\"op\"}"),
+            std::string::npos);
+
+  // A checkpoint's barriers are pushes: they wake every parked task.
+  ASSERT_TRUE(runner.TriggerCheckpoint(15000).ok());
+  runner.PublishMetrics();
+  for (const auto& [vertex, subtask] : kOperatorTasks) {
+    SCOPED_TRACE(std::string(vertex) + "[" + std::to_string(subtask) + "]");
+    EXPECT_GE(runner.metrics()
+                  ->GetGauge(obs::TaskMetricName("task_wakeups_total", vertex,
+                                                 subtask))
+                  ->Value(),
+              1.0);
+  }
+  runner.Stop();
 }
 
 TEST(EvoScopeJobTest, MarkersAndRuntimeMetricsFlowThroughPipeline) {
