@@ -3,7 +3,9 @@
 # benchmark's own tests built against the engine sources, an ASan/UBSan
 # build of the data-plane, EvoScope-facing, keyed-state, LSM and windowing
 # suites (channel, obs, dataflow, integration, state, lsm, lsm_crash,
-# operators, window_diff) to catch memory errors/UB the release build hides,
+# operators, window_diff, and the chaos suite's LSM storage-fault schedules,
+# whose ingests write SST files under faults) to catch memory errors/UB the
+# release build hides,
 # and a TSan build of the data-plane suites (channel ring buffer, task
 # loops and their park/wake protocol, stress tests, the chaos suite's
 # crash-recovery schedules) to catch ordering bugs in the lock-free paths.
@@ -109,7 +111,7 @@ cmake -B build-asan -S . \
 cmake --build build-asan -j"$(nproc)" \
   --target channel_test obs_test dataflow_test integration_test \
            introspection_test state_test state_diff_test operators_test \
-           window_diff_test lsm_test lsm_crash_test
+           window_diff_test lsm_test lsm_crash_test chaos_test
 
 echo "=== asan/ubsan: run ==="
 export ASAN_OPTIONS=detect_leaks=0   # tests intentionally leak-free-ish; races/UB are the target
@@ -119,5 +121,7 @@ for t in channel_test obs_test dataflow_test integration_test \
   echo "--- $t ---"
   ./build-asan/tests/"$t"
 done
+echo "--- chaos_test (LSM schedules) ---"
+./build-asan/tests/chaos_test --gtest_filter='*Lsm*'
 
 echo "=== all checks passed ==="

@@ -110,6 +110,8 @@ void Task::InitMetrics() {
       obs::TaskMetricName("checkpoint_alignment_ms", vertex_, subtask_));
   hist_snapshot_ms_ = m->GetHistogram(
       obs::TaskMetricName("task_snapshot_time_ms", vertex_, subtask_));
+  hist_restore_ms_ = m->GetHistogram(
+      obs::TaskMetricName("task_restore_time_ms", vertex_, subtask_));
   gauge_wm_lag_ = m->GetGauge(
       obs::TaskMetricName("task_watermark_lag_ms", vertex_, subtask_));
   gauge_snapshot_bytes_ = m->GetGauge(
@@ -370,6 +372,7 @@ Status Task::RunSourceLoop() {
 Status Task::RunOperatorLoop() {
   EVO_RETURN_IF_ERROR(op_->Open(op_ctx_.get()));
   if (!restore_snapshots_.empty()) {
+    Stopwatch restore_watch;
     bool merged_any = false;
     for (const TaskSnapshot& snap : restore_snapshots_) {
       std::string_view custom, timers, backend;
@@ -404,6 +407,9 @@ Status Task::RunOperatorLoop() {
       });
     }
     CountTimers();
+    if (hist_restore_ms_ != nullptr) {
+      hist_restore_ms_->Record(restore_watch.ElapsedMillis());
+    }
   }
 
   // States are registered by Open (and restore); export them for external

@@ -314,6 +314,7 @@ class Task {
   Histogram* hist_e2e_latency_ms_ = nullptr;  ///< sink-only: end-to-end
   Histogram* hist_align_ms_ = nullptr;     ///< barrier alignment stall
   Histogram* hist_snapshot_ms_ = nullptr;  ///< local snapshot duration
+  Histogram* hist_restore_ms_ = nullptr;   ///< state restore duration
   Gauge* gauge_wm_lag_ = nullptr;          ///< watermark lag
   Gauge* gauge_snapshot_bytes_ = nullptr;  ///< last snapshot payload size
   std::unique_ptr<time::WatermarkLagProbe> wm_lag_probe_;

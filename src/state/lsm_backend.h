@@ -4,10 +4,14 @@
 /// \brief Keyed state backend over the LSM tree: state larger than memory,
 /// durable across restarts ("store state beyond main memory" — §3.1).
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "common/clock.h"
 #include "state/backend.h"
@@ -91,6 +95,63 @@ class LsmBackend final : public KeyedStateBackend {
     return snapshot.Finish();
   }
 
+  /// Restores by building one SST from the snapshot (LsmTree::Ingest), not
+  /// by a Put per entry. A snapshot this backend made is one ordered scan,
+  /// so it is already in composite-key order and streams straight through;
+  /// any other (MemBackend's is in hash order) is sorted first, as a
+  /// permutation of its entries.
+  Status RestoreSnapshot(std::string_view snapshot) override {
+    // An entry's composite key in parts; tuple order is the key's byte order.
+    struct Item {
+      uint64_t head, key;
+      std::string_view user_key, value;
+      bool operator<(const Item& o) const {
+        return std::tie(head, key, user_key) < std::tie(o.head, o.key, o.user_key);
+      }
+    };
+    auto item = [this](StateNamespace ns, uint64_t key, std::string_view uk,
+                       std::string_view value) {
+      return Item{Head(ns, key), key, uk, value};
+    };
+    uint64_t count = 0;
+    bool sorted = true;
+    std::optional<Item> prev;
+    EVO_RETURN_IF_ERROR(ForEachSnapshotEntry(
+        snapshot, [&](auto ns, auto key, auto uk, auto value) {
+          const Item it = item(ns, key, uk, value);
+          if (prev.has_value() && !(*prev < it)) sorted = false;
+          prev = it;
+          ++count;
+          return Status::OK();
+        }));
+    std::vector<Item> order;
+    if (!sorted) {
+      order.reserve(count);
+      EVO_RETURN_IF_ERROR(ForEachSnapshotEntry(
+          snapshot, [&](auto ns, auto key, auto uk, auto value) {
+            order.push_back(item(ns, key, uk, value));
+            return Status::OK();
+          }));
+      std::sort(order.begin(), order.end());
+    }
+    std::string ck;  // one composite-key buffer for every put
+    return tree_->Ingest(count, [&](const LsmTree::IngestPut& put) {
+      auto emit = [&](const Item& it) {
+        ck.clear();
+        AppendKey(&ck, it.head, it.key, it.user_key);
+        return put(ck, it.value);
+      };
+      if (!sorted) {
+        for (const Item& it : order) EVO_RETURN_IF_ERROR(emit(it));
+        return Status::OK();
+      }
+      return ForEachSnapshotEntry(
+          snapshot, [&](auto ns, auto key, auto uk, auto value) {
+            return emit(item(ns, key, uk, value));
+          });
+    });
+  }
+
   uint64_t ApproxEntryCount() const override {
     LsmStats stats = tree_->GetStats();
     uint64_t n = stats.memtable_bytes / 32;  // rough
@@ -138,14 +199,21 @@ class LsmBackend final : public KeyedStateBackend {
       : KeyedStateBackend(max_parallelism), tree_(std::move(tree)) {}
 
   /// ns | key_group | key | user_key, with ns and key group written as one
-  /// big-endian u64.
+  /// big-endian u64, the head.
+  uint64_t Head(StateNamespace ns, uint64_t key) const {
+    return uint64_t{ns} << 32 | KeyGroupOf(key);
+  }
+  static void AppendKey(std::string* out, uint64_t head, uint64_t key,
+                        std::string_view user_key) {
+    StateKey::AppendU64BE(out, head);
+    StateKey::AppendU64BE(out, key);
+    out->append(user_key);
+  }
   std::string Encode(StateNamespace ns, uint64_t key,
                      std::string_view user_key) const {
     std::string out;
     out.reserve(16 + user_key.size());
-    StateKey::AppendU64BE(&out, uint64_t{ns} << 32 | KeyGroupOf(key));
-    StateKey::AppendU64BE(&out, key);
-    out.append(user_key);
+    AppendKey(&out, Head(ns, key), key, user_key);
     return out;
   }
   /// The parts of a composite key.

@@ -4,6 +4,7 @@
 
 #include "common/logging.h"
 #include "common/serde.h"
+#include "testing/fault_injector.h"
 
 namespace evo::state {
 
@@ -183,6 +184,74 @@ Status LsmTree::Delete(std::string_view key) {
   return Write(key, EntryOp::kDelete, "");
 }
 
+Status LsmTree::Ingest(
+    size_t expected_keys,
+    const std::function<Status(const IngestPut& put)>& produce) {
+  std::lock_guard<std::mutex> lock(mu_);
+  // A memtable version of an ingested key would shadow the file; the flush
+  // also leaves the WAL empty, so no replayed record can outrank it either.
+  EVO_RETURN_IF_ERROR(FlushLocked());
+
+  const uint64_t id = next_file_id_++;
+  auto written = WriteIngestFileLocked(id, seq_ + 1, expected_keys, produce);
+  if (!written.ok()) {
+    (void)options_.env->DeleteFile(SstPath(id));
+    return written.status();
+  }
+  if (*written == nullptr) return Status::OK();  // nothing to ingest
+
+  // Deepest level whose files, and all files above it, miss the new range:
+  // every version the file could shadow then lies below it.
+  FileMeta meta;
+  meta.id = id;
+  meta.reader = std::move(*written);
+  const std::string& lo = meta.reader->smallest_key();
+  const std::string& hi = meta.reader->largest_key();
+  int level = -1;
+  while (level + 1 < static_cast<int>(levels_.size()) &&
+         std::none_of(levels_[level + 1].begin(), levels_[level + 1].end(),
+                      [&](const FileMeta& f) {
+                        return f.reader->smallest_key() <= hi &&
+                               f.reader->largest_key() >= lo;
+                      })) {
+    ++level;
+  }
+  meta.level = std::max(level, 0);
+  std::vector<FileMeta>& files = levels_[static_cast<size_t>(meta.level)];
+  if (meta.level == 0) {
+    files.push_back(std::move(meta));  // newest L0 file
+  } else {
+    auto at = std::upper_bound(files.begin(), files.end(), lo,
+                               [](const std::string& k, const FileMeta& f) {
+                                 return k < f.reader->smallest_key();
+                               });
+    files.insert(at, std::move(meta));
+  }
+  seq_ += 1;
+  EVO_RETURN_IF_ERROR(WriteManifestLocked());
+  return MaybeCompactLocked();
+}
+
+Result<std::unique_ptr<SSTableReader>> LsmTree::WriteIngestFileLocked(
+    uint64_t id, uint64_t seq, size_t expected_keys,
+    const std::function<Status(const IngestPut& put)>& produce) {
+  {  // the builder's buffer is freed before the reader loads the file
+    SSTableBuilder builder(options_.env, SstPath(id), expected_keys);
+    Entry entry;  // reused, so a put allocates nothing once it has grown
+    entry.seq = seq;
+    EVO_RETURN_IF_ERROR(produce([&](std::string_view key, std::string_view value) {
+      entry.key.assign(key);
+      entry.value.assign(value);
+      return builder.Add(entry);
+    }));
+    if (builder.entry_count() == 0) return std::unique_ptr<SSTableReader>();
+    EVO_RETURN_IF_ERROR(builder.Finish());
+  }
+  EVO_ASSIGN_OR_RETURN(auto reader, SSTableReader::Open(options_.env, SstPath(id)));
+  EVO_FAULT_RETURN_IF_SET("lsm.ingest.install");
+  return reader;
+}
+
 Result<std::optional<std::string>> LsmTree::Get(std::string_view key) {
   return GetAtSnapshot(key, UINT64_MAX);
 }
@@ -306,11 +375,13 @@ Status LsmTree::FlushLocked() {
   if (mem_.Empty()) return Status::OK();
 
   uint64_t id = next_file_id_++;
-  SSTableBuilder builder(options_.env, SstPath(id), mem_.EntryCount());
-  for (auto c = mem_.Seek(""); c.Current() != nullptr; c.Next()) {
-    EVO_RETURN_IF_ERROR(builder.Add(*c.Current()));
+  {  // the builder's buffer is freed before the reader loads the file
+    SSTableBuilder builder(options_.env, SstPath(id), mem_.EntryCount());
+    for (auto c = mem_.Seek(""); c.Current() != nullptr; c.Next()) {
+      EVO_RETURN_IF_ERROR(builder.Add(*c.Current()));
+    }
+    EVO_RETURN_IF_ERROR(builder.Finish());
   }
-  EVO_RETURN_IF_ERROR(builder.Finish());
 
   EVO_ASSIGN_OR_RETURN(auto reader,
                        SSTableReader::Open(options_.env, SstPath(id)));
@@ -401,28 +472,34 @@ Status LsmTree::CompactLevelLocked(int level) {
   uint64_t input_entries = 0;
   for (const FileMeta& f : inputs) input_entries += f.reader->entry_count();
   const uint64_t id = next_file_id_;
-  SSTableBuilder builder(options_.env, SstPath(id), input_entries);
-  std::string prev_key;
-  uint64_t prev_seq = 0;
-  bool have_prev = false;
-  Status added;
-  auto add = [&](const Entry& e) {
-    const bool newest_for_key = !have_prev || e.key != prev_key;
-    const bool drop = newest_for_key
-                          ? bottom && e.op == EntryOp::kDelete && e.seq <= horizon
-                          : prev_seq <= horizon;
-    if (newest_for_key) prev_key = e.key;
-    prev_seq = e.seq;
-    have_prev = true;
-    if (!drop) added = builder.Add(e);
-    return added.ok();
-  };
-  EVO_RETURN_IF_ERROR(MergeLocked(/*with_mem=*/false, inputs, "", add));
-  EVO_RETURN_IF_ERROR(added);
+  bool wrote = false;
+  {  // the builder's buffer is freed before the reader loads the file
+    SSTableBuilder builder(options_.env, SstPath(id), input_entries);
+    std::string prev_key;
+    uint64_t prev_seq = 0;
+    bool have_prev = false;
+    Status added;
+    auto add = [&](const Entry& e) {
+      const bool newest_for_key = !have_prev || e.key != prev_key;
+      const bool drop =
+          newest_for_key ? bottom && e.op == EntryOp::kDelete && e.seq <= horizon
+                         : prev_seq <= horizon;
+      if (newest_for_key) prev_key = e.key;
+      prev_seq = e.seq;
+      have_prev = true;
+      if (!drop) added = builder.Add(e);
+      return added.ok();
+    };
+    EVO_RETURN_IF_ERROR(MergeLocked(/*with_mem=*/false, inputs, "", add));
+    EVO_RETURN_IF_ERROR(added);
+    if (builder.entry_count() > 0) {
+      ++next_file_id_;
+      EVO_RETURN_IF_ERROR(builder.Finish());
+      wrote = true;
+    }
+  }
 
-  if (builder.entry_count() > 0) {
-    ++next_file_id_;
-    EVO_RETURN_IF_ERROR(builder.Finish());
+  if (wrote) {
     EVO_ASSIGN_OR_RETURN(auto reader,
                          SSTableReader::Open(options_.env, SstPath(id)));
     FileMeta meta;

@@ -15,9 +15,12 @@
 ///              compaction input)
 ///   MVCC    -> global sequence numbers; GetSnapshot() pins a sequence so
 ///              readers (queryable state, checkpoints) see a stable view
+///   ingest  -> sorted puts straight into one SST (no WAL, no memtable),
+///              installed at the deepest level nothing above overlaps
 ///
 /// Crash recovery replays the WAL into a fresh memtable; the MANIFEST file
-/// (rewritten atomically after every flush/compaction) lists live SSTs.
+/// (rewritten atomically after every flush/compaction/ingest) lists live
+/// SSTs.
 
 #include <cstdint>
 #include <functional>
@@ -80,6 +83,23 @@ class LsmTree {
   Status Put(std::string_view key, std::string_view value);
   Status Delete(std::string_view key);
 
+  /// \brief Receives one put of an Ingest.
+  using IngestPut =
+      std::function<Status(std::string_view key, std::string_view value)>;
+
+  /// \brief Bulk-loads puts as one new SST file. `produce` hands each put to
+  /// the IngestPut it is given, keys strictly ascending; `expected_keys`
+  /// sizes the file's bloom filter. The memtable is flushed first, then all
+  /// puts take one fresh sequence number (pinned snapshots never see them)
+  /// and the file goes to the deepest level where no file at that level or
+  /// above overlaps its key range, else to L0 as the newest file. Nothing is
+  /// written to the WAL: the file is durable once the manifest lists it.
+  /// Out-of-order or duplicate keys fail with InvalidArgument. A failure
+  /// before the install (bad input, a write, open or injected fault) deletes
+  /// the file and leaves the tree's contents unchanged.
+  Status Ingest(size_t expected_keys,
+                const std::function<Status(const IngestPut& put)>& produce);
+
   /// \brief Latest visible value, or nullopt if absent/deleted.
   Result<std::optional<std::string>> Get(std::string_view key);
   /// \brief Value visible at a pinned snapshot sequence.
@@ -136,6 +156,11 @@ class LsmTree {
   template <typename Fn>
   Status MergeLocked(bool with_mem, const std::vector<FileMeta>& files,
                      std::string_view lo, Fn&& fn);
+  /// Writes `produce`'s puts at sequence `seq` into SST `id` and opens it;
+  /// null when there were none. Leaves the file behind on failure.
+  Result<std::unique_ptr<SSTableReader>> WriteIngestFileLocked(
+      uint64_t id, uint64_t seq, size_t expected_keys,
+      const std::function<Status(const IngestPut& put)>& produce);
   Status WriteManifestLocked();
   Status RecoverLocked();
 

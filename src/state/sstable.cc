@@ -39,45 +39,44 @@ Status SSTableBuilder::Add(const Entry& e) {
 
 Status SSTableBuilder::Finish() {
   if (count_ == 0) return Status::FailedPrecondition("empty SSTable");
-  BinaryWriter out;
-  uint64_t data_size = data_.size();
-  out.WriteRaw(data_.buffer().data(), data_size);
+  // Bloom, index and footer go after the data block in the one buffer.
+  const uint64_t data_size = data_.size();
+  const uint32_t data_crc = Crc32(data_.buffer());
 
-  uint64_t bloom_off = out.size();
-  bloom_.EncodeTo(&out);
+  const uint64_t bloom_off = data_.size();
+  bloom_.EncodeTo(&data_);
 
-  uint64_t index_off = out.size();
-  out.WriteVarU64(index_.size());
+  const uint64_t index_off = data_.size();
+  data_.WriteVarU64(index_.size());
   for (const auto& [key, offset] : index_) {
-    out.WriteBytes(key);
-    out.WriteU64(offset);
+    data_.WriteBytes(key);
+    data_.WriteU64(offset);
   }
 
   // Footer (fixed size 52 bytes).
-  out.WriteU64(bloom_off);
-  out.WriteU64(index_off);
-  out.WriteU64(count_);
-  out.WriteU64(min_seq_);
-  out.WriteU64(max_seq_);
-  out.WriteU32(Crc32(std::string_view(data_.buffer()).substr(0, data_size)));
-  out.WriteU32(kMagic);
+  data_.WriteU64(bloom_off);
+  data_.WriteU64(index_off);
+  data_.WriteU64(count_);
+  data_.WriteU64(min_seq_);
+  data_.WriteU64(max_seq_);
+  data_.WriteU32(data_crc);
+  data_.WriteU32(kMagic);
+  std::string file = data_.Take();
 
   switch (EVO_FAULT_POINT("sstable.finish")) {
     case evo::testing::FaultAction::kError:
     case evo::testing::FaultAction::kCrash:
       return Status::IOError("injected fault [sstable.finish]");
-    case evo::testing::FaultAction::kShortWrite: {
+    case evo::testing::FaultAction::kShortWrite:
       // Bit rot / torn SST image: the file lands with a flipped byte in its
       // data block. Readers must refuse it with DataLoss, never serve it.
-      std::string corrupt(out.buffer());
-      corrupt[data_size / 2] ^= 0x40;  // inside the CRC-covered data block
-      EVO_RETURN_IF_ERROR(env_->WriteStringToFile(path_, corrupt));
+      file[data_size / 2] ^= 0x40;  // inside the CRC-covered data block
+      EVO_RETURN_IF_ERROR(env_->WriteStringToFile(path_, file));
       return Status::OK();  // the writer never notices silent corruption
-    }
     default:
       break;
   }
-  return env_->WriteStringToFile(path_, out.buffer());
+  return env_->WriteStringToFile(path_, file);
 }
 
 Result<std::unique_ptr<SSTableReader>> SSTableReader::Open(

@@ -45,7 +45,8 @@ class SSTableBuilder {
   /// order; violations return InvalidArgument.
   Status Add(const Entry& e);
 
-  /// \brief Writes bloom, index and footer; the file is complete after this.
+  /// \brief Appends bloom, index and footer to the data block and writes
+  /// (and syncs) the file; the builder is spent after this.
   Status Finish();
 
   uint64_t entry_count() const { return count_; }
@@ -53,7 +54,6 @@ class SSTableBuilder {
   const std::string& largest_key() const { return largest_; }
   uint64_t min_seq() const { return min_seq_; }
   uint64_t max_seq() const { return max_seq_; }
-  uint64_t file_size() const { return data_.size(); }
 
  private:
   Env* env_;

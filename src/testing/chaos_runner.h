@@ -24,11 +24,13 @@
 ///    a sub-multiset of the fault-free output (no uncommitted epoch becomes
 ///    visible, no duplicates), and the run ends with the two equal — exactly
 ///    once despite every fault.
-///  - RunLsmChaos(): differential test of the WAL/LSM stack under injected
-///    short writes, fsync errors and crash-before/after-fsync. Invariant:
-///    with sync_wal, every acknowledged write survives crash+reopen (the LSM
-///    recovers to the last durable sequence); injected silent SSTable
-///    corruption must surface as an error (DataLoss), never as a wrong value.
+///  - RunLsmChaos(): differential test of the WAL/LSM stack (puts, deletes,
+///    flushes, compactions and SST ingests) under injected short writes,
+///    fsync errors, crash-before/after-fsync and faults between an ingest's
+///    SST write and its install. Invariant: with sync_wal, every
+///    acknowledged write or ingest survives crash+reopen (the LSM recovers
+///    to the last durable sequence); injected silent SSTable corruption must
+///    surface as an error (DataLoss), never as a wrong value.
 ///  - RunTpcProtocolChaos(): the TwoPhaseCommitSink epoch protocol driven
 ///    directly (no threads), crashing between prepare and commit and during
 ///    recovery re-commit. Invariant: the target never sees part of an epoch,
@@ -495,6 +497,13 @@ inline ChaosReport RunLsmChaos(uint64_t seed) {
     rule.after_n_hits = rng.NextBounded(3);
     inj.SetRule("sstable.finish", rule);
   }
+  if (rng.NextBool(0.3)) {
+    FaultRule rule;
+    rule.action = rng.NextBool(0.5) ? FaultAction::kCrash : FaultAction::kError;
+    rule.after_n_hits = rng.NextBounded(3);
+    rule.max_fires = 1;
+    inj.SetRule("lsm.ingest.install", rule);  // SST written, not yet listed
+  }
 
   state::MemEnv env;
   auto lsm_options = [&env] {
@@ -628,6 +637,34 @@ inline ChaosReport RunLsmChaos(uint64_t seed) {
       }
     }
     if (ended) break;
+    if (rng.NextBool(0.4)) {
+      // Bulk-load a sorted batch as one SST. Acked, it is in the manifest and
+      // must survive a crash exactly; failed, each key may hold either value.
+      std::map<std::string, std::string> batch;
+      for (uint64_t n = 1 + rng.NextBounded(20); n > 0; --n) {
+        batch["k" + std::to_string(rng.NextBounded(60))] =
+            "i" + std::to_string(round) + "-" + std::to_string(n);
+      }
+      Status st = tree->Ingest(batch.size(), [&](const auto& put) {
+        for (const auto& [key, value] : batch) {
+          EVO_RETURN_IF_ERROR(put(key, value));
+        }
+        return Status::OK();
+      });
+      for (const auto& [key, value] : batch) {
+        if (st.ok()) {
+          model[key] = value;
+          uncertain.erase(key);
+        } else {
+          uncertain.insert(key);
+        }
+      }
+      if (!st.ok()) {
+        inj.TakeCrashRequest();
+        ended = !crash_reopen("failed ingest");
+        continue;
+      }
+    }
     if (rng.NextBool(0.3)) {
       // Flush/compaction failures are recoverable by definition: everything
       // acked is in the synced WAL, so crash-and-reopen must restore it.

@@ -174,6 +174,35 @@ TEST(Crc32Test, KnownVectorAndSensitivity) {
   EXPECT_NE(Crc32("hello"), Crc32("hellp"));
 }
 
+// The plain one-byte-per-step loop over the IEEE table: the reference the
+// sliced Crc32 must match bit for bit.
+uint32_t BytewiseCrc32(std::string_view data, uint32_t seed = 0) {
+  uint32_t c = seed ^ 0xffffffffu;
+  for (unsigned char byte : data) {
+    c = internal::kCrcTables[0][(c ^ byte) & 0xff] ^ (c >> 8);
+  }
+  return c ^ 0xffffffffu;
+}
+
+TEST(Crc32Test, SlicedMatchesBytewiseAtEveryLengthAndAlignment) {
+  Rng rng(0xc4c);
+  std::string buf(6 << 20, '\0');
+  for (char& ch : buf) ch = static_cast<char>(rng.NextU64());
+  EXPECT_EQ(BytewiseCrc32(""), 0u);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 64; ++len) {
+      const std::string_view s = std::string_view(buf).substr(offset, len);
+      ASSERT_EQ(Crc32(s), BytewiseCrc32(s)) << "offset " << offset << " len " << len;
+      ASSERT_EQ(Crc32(s, 0x1234567u), BytewiseCrc32(s, 0x1234567u));
+    }
+  }
+  EXPECT_EQ(Crc32(buf), BytewiseCrc32(buf));
+  // Chaining through the seed equals one pass over the concatenation.
+  const std::string_view whole(buf);
+  EXPECT_EQ(Crc32(whole.substr(1001), Crc32(whole.substr(0, 1001))),
+            Crc32(whole));
+}
+
 TEST(RngTest, DeterministicAcrossInstances) {
   Rng a(7), b(7);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.NextU64(), b.NextU64());

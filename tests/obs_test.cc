@@ -542,6 +542,45 @@ TEST(EvoScopeJobTest, CheckpointMetricsPublished) {
   EXPECT_EQ(snap->Count(), 2u);
 }
 
+TEST(EvoScopeJobTest, RestoredJobExportsRestoreTime) {
+  dataflow::ReplayableLog log;
+  for (int i = 0; i < 64; ++i) {
+    log.Append(i, Value::Tuple("k", int64_t{i}));
+  }
+  dataflow::CollectingSink collected;
+  auto topology = [&] {
+    dataflow::Topology topo;
+    auto src = topo.AddSource("src", [&log] {
+      dataflow::LogSourceOptions options;
+      options.end_at_eof = false;  // keep running so checkpoints can land
+      return std::make_unique<dataflow::LogSource>(&log, options);
+    });
+    topo.Sink(src, "sink", collected.AsSinkFn());
+    return topo;
+  };
+  const std::string name =
+      obs::TaskMetricName("task_restore_time_ms", "sink", 0);
+
+  dataflow::JobRunner first(topology(), dataflow::JobConfig{});
+  ASSERT_TRUE(first.Start().ok());
+  auto snapshot = first.TriggerCheckpoint(15000);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  first.Stop();
+  // A fresh start restores nothing.
+  EXPECT_EQ(first.metrics()->GetHistogram(name)->Count(), 0u);
+
+  dataflow::JobRunner restored(topology(), dataflow::JobConfig{});
+  ASSERT_TRUE(restored.Start(&*snapshot).ok());
+  // The sink restores before it handles any barrier, so once a checkpoint
+  // completes its restore has been timed.
+  ASSERT_TRUE(restored.TriggerCheckpoint(15000).ok());
+  restored.Stop();
+  EXPECT_EQ(restored.metrics()->GetHistogram(name)->Count(), 1u);
+  EXPECT_NE(obs::ToPrometheusText(*restored.metrics())
+                .find("task_restore_time_ms_count{subtask=\"0\",vertex=\"sink\"} 1"),
+            std::string::npos);
+}
+
 TEST(EvoScopeJobTest, BackgroundReporterWritesFileSink) {
   dataflow::ReplayableLog log;
   for (int i = 0; i < 100; ++i) {

@@ -269,6 +269,113 @@ TEST_P(BackendDiffTest, RandomOperationsMatchModel) {
   CheckEverything("after Clear");
 }
 
+// LsmBackend restores by ingesting one SST per snapshot; the base class's
+// Put-per-entry replay is the reference. Both must leave byte-identical
+// state, for snapshots in the LSM's own sorted order and in MemBackend's hash
+// order, into empty and non-empty trees, and through a two-snapshot rescale.
+class IngestRestoreTest : public ::testing::TestWithParam<uint64_t> {
+ protected:
+  // Random puts over a small key space, so restores overwrite live keys.
+  void Fill(KeyedStateBackend* b, Rng* rng, int n) {
+    for (int i = 0; i < n; ++i) {
+      const uint64_t key = rng->NextBounded(40) * 0x9e3779b97f4a7c15ull;
+      const std::string uk(rng->NextBounded(3), static_cast<char>(rng->NextU64()));
+      ASSERT_TRUE(b->Put(static_cast<StateNamespace>(rng->NextBounded(3)), key,
+                         uk, "v" + std::to_string(rng->NextU64() % 1000))
+                      .ok());
+    }
+  }
+
+  std::unique_ptr<LsmBackend> NewLsm() {
+    auto lsm = LsmBackend::Open(
+        test_util::SmallLsmOptions(&env_, "/ingest" + std::to_string(dirs_++),
+                                   1024),
+        kMaxParallelism);
+    EXPECT_TRUE(lsm.ok());
+    return lsm.ok() ? std::move(*lsm) : nullptr;
+  }
+
+  // A pair of trees in the same state: `prefill` puts spread over the
+  // memtable, L0 and deeper levels (nothing when zero).
+  std::pair<std::unique_ptr<LsmBackend>, std::unique_ptr<LsmBackend>> Targets(
+      int prefill) {
+    auto ingest = NewLsm(), replay = NewLsm();
+    for (LsmBackend* b : {ingest.get(), replay.get()}) {
+      Rng rng(GetParam() ^ 0x7a26e7);
+      Fill(b, &rng, prefill / 2);
+      EXPECT_TRUE(b->tree()->CompactAll().ok());
+      Fill(b, &rng, prefill / 4);
+      EXPECT_TRUE(b->tree()->Flush().ok());
+      Fill(b, &rng, prefill / 4);
+    }
+    return {std::move(ingest), std::move(replay)};
+  }
+
+  static void ExpectSameState(KeyedStateBackend* a, KeyedStateBackend* b,
+                              const std::string& where) {
+    auto sa = a->SnapshotAll(), sb = b->SnapshotAll();
+    ASSERT_TRUE(sa.ok() && sb.ok()) << where;
+    EXPECT_EQ(*sa, *sb) << where;
+  }
+
+  MemEnv env_;
+  int dirs_ = 0;
+};
+
+TEST_P(IngestRestoreTest, MatchesPutReplay) {
+  Rng rng(GetParam());
+  MemBackend mem(kMaxParallelism);
+  std::unique_ptr<LsmBackend> lsm = NewLsm();
+  for (KeyedStateBackend* b : {static_cast<KeyedStateBackend*>(&mem),
+                               static_cast<KeyedStateBackend*>(lsm.get())}) {
+    Rng fill(GetParam());
+    Fill(b, &fill, 300);
+  }
+  auto mem_snap = mem.SnapshotAll();
+  auto lsm_snap = lsm->SnapshotAll();
+  ASSERT_TRUE(mem_snap.ok() && lsm_snap.ok());
+  ASSERT_NE(*mem_snap, *lsm_snap) << "expected MemBackend's unsorted order";
+
+  for (int prefill : {0, 200}) {
+    for (const auto& [name, snap] :
+         {std::pair<std::string, std::string>{"lsm-made", *lsm_snap},
+          {"mem-made", *mem_snap}}) {
+      const std::string where = name + " snapshot, prefill " + std::to_string(prefill);
+      auto [ingest, replay] = Targets(prefill);
+      ASSERT_TRUE(ingest->RestoreSnapshot(snap).ok()) << where;
+      ASSERT_TRUE(replay->KeyedStateBackend::RestoreSnapshot(snap).ok()) << where;
+      ExpectSameState(ingest.get(), replay.get(), where);
+      if (prefill == 0) ExpectSameState(ingest.get(), lsm.get(), where);
+    }
+  }
+
+  // Rescale: two old subtasks' snapshots into one new subtask, which then
+  // drops the key groups it does not own.
+  const uint32_t half = kMaxParallelism / 2;
+  for (KeyedStateBackend* src : {static_cast<KeyedStateBackend*>(&mem),
+                                 static_cast<KeyedStateBackend*>(lsm.get())}) {
+    auto lo = src->SnapshotKeyGroups(0, half);
+    auto hi = src->SnapshotKeyGroups(half, kMaxParallelism);
+    ASSERT_TRUE(lo.ok() && hi.ok());
+    auto [ingest, replay] = Targets(rng.NextBool(0.5) ? 200 : 0);
+    for (const std::string* snap : {&*lo, &*hi}) {
+      ASSERT_TRUE(ingest->RestoreSnapshot(*snap).ok());
+      ASSERT_TRUE(replay->KeyedStateBackend::RestoreSnapshot(*snap).ok());
+    }
+    for (LsmBackend* b : {ingest.get(), replay.get()}) {
+      ASSERT_TRUE(b->DropKeyGroups(0, 2).ok());
+      ASSERT_TRUE(b->DropKeyGroups(6, kMaxParallelism).ok());
+    }
+    ExpectSameState(ingest.get(), replay.get(), "rescale");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, IngestRestoreTest,
+                         ::testing::Values(1, 2, 3, 4, 424242),
+                         [](const auto& info) {
+                           return std::to_string(info.param);
+                         });
+
 INSTANTIATE_TEST_SUITE_P(Seeds, BackendDiffTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 424242),
                          [](const auto& info) {
