@@ -1,6 +1,7 @@
 #include "dataflow/task.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "common/logging.h"
 #include "obs/exporters.h"
@@ -29,6 +30,10 @@ constexpr int64_t kWarmParkNanos = 100'000;
 /// An idle source re-polls its Next() this often: new source data is not
 /// signalled.
 constexpr int64_t kSourceIdleParkMs = 1;
+/// Keyed-state keys a pending snapshot serializes per sweep of the operator
+/// loop, about 50 us of an LSM scan: short against the gap between
+/// open-loop records, so the records that queue behind a step stay few.
+constexpr size_t kSnapshotStepKeys = 256;
 /// Feedback-loop quiescence must hold this long before the job finishes.
 constexpr int64_t kFeedbackQuietMs = 50;
 
@@ -110,6 +115,8 @@ void Task::InitMetrics() {
       obs::TaskMetricName("checkpoint_alignment_ms", vertex_, subtask_));
   hist_snapshot_ms_ = m->GetHistogram(
       obs::TaskMetricName("task_snapshot_time_ms", vertex_, subtask_));
+  hist_pending_ms_ = m->GetHistogram(
+      obs::TaskMetricName("task_snapshot_pending_ms", vertex_, subtask_));
   hist_restore_ms_ = m->GetHistogram(
       obs::TaskMetricName("task_restore_time_ms", vertex_, subtask_));
   gauge_wm_lag_ = m->GetGauge(
@@ -243,6 +250,9 @@ void Task::Run() {
   } else {
     st = RunOperatorLoop();
   }
+  // A snapshot still pending (cancel, failure) is never acknowledged; its
+  // pin on the backend goes here, on the thread that used it.
+  pending_snapshot_.reset();
   if (!st.ok() && runtime_->on_error) {
     runtime_->on_error(vertex_ + "[" + std::to_string(subtask_) + "]", st);
   }
@@ -436,6 +446,12 @@ Status Task::RunOperatorLoop() {
       EVO_RETURN_IF_ERROR(HandleElement(i, std::move(element)));
     }
     cursor = (cursor + 1) % std::max<size_t>(inputs_.size(), 1);
+    // A pending snapshot takes one bounded step per sweep, so records keep
+    // flowing while it is serialized, and keeps the task from parking.
+    if (pending_snapshot_ != nullptr) {
+      progressed = true;
+      EVO_RETURN_IF_ERROR(StepSnapshot(kSnapshotStepKeys));
+    }
 
     EVO_RETURN_IF_ERROR(PollProcessingTimers());
 
@@ -468,6 +484,7 @@ Status Task::RunOperatorLoop() {
         }
       }
       if (done) {
+        EVO_RETURN_IF_ERROR(StepSnapshot(SIZE_MAX));  // acked before Close
         EVO_RETURN_IF_ERROR(op_->Close(collector_.get()));
         EmitEndOfStream();
         // Export states the operator registered after Open (lazy creation):
@@ -679,23 +696,44 @@ Status Task::HandleBarrier(size_t input_index, uint64_t checkpoint_id,
 }
 
 Status Task::TakeSnapshot(uint64_t checkpoint_id) {
+  EVO_RETURN_IF_ERROR(StepSnapshot(SIZE_MAX));  // at most one pending
   Stopwatch snap_watch;
+  auto pending = std::make_unique<PendingCheckpoint>();
+  pending->id = checkpoint_id;
   BinaryWriter custom, timer_bytes;
-  std::string backend_snapshot;
   if (source_ != nullptr) {
     EVO_RETURN_IF_ERROR(source_->SnapshotState(&custom));
   } else {
     EVO_RETURN_IF_ERROR(op_->SnapshotState(&custom));
     timers_->EncodeTo(&timer_bytes);
     CountTimers();
-    EVO_ASSIGN_OR_RETURN(backend_snapshot, backend_->SnapshotAll());
+    pending->backend = backend_->PinKeyGroups(0, backend_->max_parallelism());
   }
-  BinaryWriter w;
-  w.WriteBytes(custom.buffer());
-  w.WriteBytes(timer_bytes.buffer());
-  w.WriteBytes(backend_snapshot);
+  pending->head.WriteBytes(custom.buffer());
+  pending->head.WriteBytes(timer_bytes.buffer());
+  pending_snapshot_ = std::move(pending);
   if (hist_snapshot_ms_ != nullptr) {
-    hist_snapshot_ms_->Record(static_cast<double>(snap_watch.ElapsedMillis()));
+    hist_snapshot_ms_->Record(snap_watch.ElapsedMillis());
+  }
+  // A source, or a backend that serialized at the pin, is acked right here.
+  return StepSnapshot(kSnapshotStepKeys);
+}
+
+Status Task::StepSnapshot(size_t max_keys) {
+  if (pending_snapshot_ == nullptr) return Status::OK();
+  std::string backend_snapshot;
+  if (pending_snapshot_->backend != nullptr) {
+    EVO_ASSIGN_OR_RETURN(bool complete,
+                         pending_snapshot_->backend->Advance(max_keys));
+    if (!complete) return Status::OK();
+    backend_snapshot = pending_snapshot_->backend->Take();
+  }
+  const std::unique_ptr<PendingCheckpoint> done = std::move(pending_snapshot_);
+  done->backend.reset();  // releases the pin
+  BinaryWriter& w = done->head;
+  w.WriteBytes(backend_snapshot);
+  if (hist_pending_ms_ != nullptr) {
+    hist_pending_ms_->Record(done->since_pin.ElapsedMillis());
   }
   if (gauge_snapshot_bytes_ != nullptr) {
     gauge_snapshot_bytes_->Set(static_cast<double>(w.buffer().size()));
@@ -712,7 +750,7 @@ Status Task::TakeSnapshot(uint64_t checkpoint_id) {
     snapshot.vertex = vertex_;
     snapshot.subtask = subtask_;
     snapshot.data = w.Take();
-    runtime_->on_snapshot(checkpoint_id, std::move(snapshot));
+    runtime_->on_snapshot(done->id, std::move(snapshot));
   }
   return Status::OK();
 }

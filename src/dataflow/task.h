@@ -11,7 +11,10 @@
 ///  - low-watermark aggregation across inputs (feedback edges excluded)
 ///  - event-time timers fired on watermark advance
 ///  - checkpoint barrier handling: aligned (exactly-once; blocks already-
-///    barriered channels) or unaligned (at-least-once; no blocking)
+///    barriered channels) or unaligned (at-least-once; no blocking). At the
+///    barrier the task only pins its keyed state; the loop serializes the
+///    pinned snapshot one bounded step per sweep, between records, and
+///    acknowledges the checkpoint once it is complete
 ///  - latency-marker forwarding
 ///  - end-of-stream draining, including cycle quiescence via a shared
 ///    in-flight feedback counter
@@ -33,6 +36,7 @@
 
 #include "common/clock.h"
 #include "common/metrics.h"
+#include "common/serde.h"
 #include "common/status.h"
 #include "dataflow/channel.h"
 #include "dataflow/operator.h"
@@ -236,7 +240,12 @@ class Task {
   Status HandleWatermark(size_t input_index, TimeMs watermark);
   Status HandleBarrier(size_t input_index, uint64_t checkpoint_id,
                        CheckpointMode mode);
+  /// Pins the task's state for a checkpoint (after completing any snapshot
+  /// still pending) and takes the first step of its serialization.
   Status TakeSnapshot(uint64_t checkpoint_id);
+  /// Serializes about `max_keys` more keyed-state entries of the pending
+  /// snapshot, if any, and acknowledges it once complete.
+  Status StepSnapshot(size_t max_keys);
   Status FireEventTimers(TimeMs watermark);
   void CountTimers();
   Status PollProcessingTimers();
@@ -285,6 +294,18 @@ class Task {
   std::atomic<bool> queryable_revoked_{false};
   size_t queryable_published_ = 0;  ///< state names already exported
 
+  /// A checkpoint pinned at its barrier, still being serialized.
+  struct PendingCheckpoint {
+    uint64_t id = 0;
+    BinaryWriter head;  ///< the operator/source and timer sections
+    /// Null for a source, which has no keyed state.
+    std::unique_ptr<state::KeyedStateBackend::PendingSnapshot> backend;
+    Stopwatch since_pin;
+  };
+  /// At most one; it holds a pin on backend_, so the task thread drops it
+  /// when its loop ends, before the backend can die.
+  std::unique_ptr<PendingCheckpoint> pending_snapshot_;
+
   std::unique_ptr<GateCollector> collector_;
   WakeupWord wakeup_;
   std::thread thread_;
@@ -313,7 +334,8 @@ class Task {
   Histogram* hist_marker_ms_ = nullptr;    ///< source->here marker latency
   Histogram* hist_e2e_latency_ms_ = nullptr;  ///< sink-only: end-to-end
   Histogram* hist_align_ms_ = nullptr;     ///< barrier alignment stall
-  Histogram* hist_snapshot_ms_ = nullptr;  ///< local snapshot duration
+  Histogram* hist_snapshot_ms_ = nullptr;  ///< task blocked by the pin
+  Histogram* hist_pending_ms_ = nullptr;   ///< snapshot pin to ack
   Histogram* hist_restore_ms_ = nullptr;   ///< state restore duration
   Gauge* gauge_wm_lag_ = nullptr;          ///< watermark lag
   Gauge* gauge_snapshot_bytes_ = nullptr;  ///< last snapshot payload size

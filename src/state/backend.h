@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -83,6 +84,29 @@ class KeyedStateBackend {
   /// \brief Serializes all state for key groups in [from, to) — the unit of
   /// checkpointing and migration — in the wire format of SnapshotEncoder.
   virtual Result<std::string> SnapshotKeyGroups(uint32_t from, uint32_t to) = 0;
+
+  /// \brief A snapshot of key groups [from, to) fixed at the moment it was
+  /// pinned and serialized in bounded steps, so that a task can go on
+  /// writing state between steps: the asynchronous half of a checkpoint.
+  class PendingSnapshot {
+   public:
+    virtual ~PendingSnapshot() = default;
+    /// \brief Serializes about `max_entries` more entries; true once the
+    /// snapshot is complete. An error leaves the snapshot unusable.
+    virtual Result<bool> Advance(size_t max_entries) = 0;
+    /// \brief The snapshot in SnapshotKeyGroups' wire format, byte for byte;
+    /// call once, after Advance returned true.
+    virtual std::string Take() = 0;
+  };
+
+  /// \brief Pins the state of key groups [from, to) as it is now; writes
+  /// made afterwards are not part of the snapshot. The default serializes
+  /// at once (SnapshotKeyGroups) and is complete before the first Advance;
+  /// a backend that can hold a consistent view cheaply overrides it.
+  virtual std::unique_ptr<PendingSnapshot> PinKeyGroups(uint32_t from,
+                                                        uint32_t to) {
+    return std::make_unique<ReadySnapshot>(SnapshotKeyGroups(from, to));
+  }
 
   /// \brief Merges a snapshot produced by SnapshotKeyGroups (from any backend
   /// implementation) into this backend.
@@ -161,6 +185,21 @@ class KeyedStateBackend {
    private:
     BinaryWriter w_;
     uint64_t count_ = 0;
+  };
+
+  /// \brief A snapshot serialized before it was handed out.
+  class ReadySnapshot final : public PendingSnapshot {
+   public:
+    explicit ReadySnapshot(Result<std::string> snapshot)
+        : snapshot_(std::move(snapshot)) {}
+    Result<bool> Advance(size_t /*max_entries*/) override {
+      if (!snapshot_.ok()) return snapshot_.status();
+      return true;
+    }
+    std::string Take() override { return std::move(*snapshot_); }
+
+   private:
+    Result<std::string> snapshot_;
   };
 
   /// \brief Calls `fn(ns, key, user_key, value)` for each entry of a

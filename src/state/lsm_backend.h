@@ -5,6 +5,7 @@
 /// durable across restarts ("store state beyond main memory" — §3.1).
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -16,6 +17,7 @@
 #include "common/clock.h"
 #include "state/backend.h"
 #include "state/lsm_tree.h"
+#include "testing/fault_injector.h"
 
 namespace evo::state {
 
@@ -82,17 +84,17 @@ class LsmBackend final : public KeyedStateBackend {
         });
   }
 
+  /// One scan of the tree at the sequence pinned here, serialized as the
+  /// task steps it; other key groups are skipped.
+  std::unique_ptr<PendingSnapshot> PinKeyGroups(uint32_t from,
+                                                uint32_t to) override {
+    return std::make_unique<PinnedSnapshot>(tree_.get(), from, to);
+  }
+
   Result<std::string> SnapshotKeyGroups(uint32_t from, uint32_t to) override {
-    // One ordered scan of the tree, which holds the tree mutex throughout
-    // and so sees one consistent state; other key groups are skipped.
-    SnapshotEncoder snapshot;
-    EVO_RETURN_IF_ERROR(tree_->ScanPrefix(
-        "", [&](std::string_view ck, std::string_view value) {
-          const Decoded d = Decode(ck);
-          if (d.key_group < from || d.key_group >= to) return;
-          snapshot.Add(d.ns, d.key, d.user_key, value);
-        }));
-    return snapshot.Finish();
+    auto snapshot = PinKeyGroups(from, to);
+    EVO_RETURN_IF_ERROR(snapshot->Advance(SIZE_MAX).status());
+    return snapshot->Take();
   }
 
   /// Restores by building one SST from the snapshot (LsmTree::Ingest), not
@@ -195,6 +197,31 @@ class LsmBackend final : public KeyedStateBackend {
   LsmTree* tree() { return tree_.get(); }
 
  private:
+  /// A PendingSnapshot over a PinnedScan of the whole tree.
+  class PinnedSnapshot final : public PendingSnapshot {
+   public:
+    PinnedSnapshot(LsmTree* tree, uint32_t from, uint32_t to)
+        : scan_(tree), from_(from), to_(to) {}
+
+    Result<bool> Advance(size_t max_entries) override {
+      // Chaos: a step that fails mid-scan; the task must fail and never
+      // acknowledge the part serialized so far.
+      EVO_FAULT_RETURN_IF_SET("task.snapshot.step");
+      return scan_.Step(max_entries,
+                        [&](std::string_view ck, std::string_view value) {
+                          const Decoded d = Decode(ck);
+                          if (d.key_group < from_ || d.key_group >= to_) return;
+                          encoder_.Add(d.ns, d.key, d.user_key, value);
+                        });
+    }
+    std::string Take() override { return encoder_.Finish(); }
+
+   private:
+    LsmTree::PinnedScan scan_;
+    const uint32_t from_, to_;
+    SnapshotEncoder encoder_;
+  };
+
   LsmBackend(std::unique_ptr<LsmTree> tree, uint32_t max_parallelism)
       : KeyedStateBackend(max_parallelism), tree_(std::move(tree)) {}
 

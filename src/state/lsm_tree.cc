@@ -1,6 +1,7 @@
 #include "state/lsm_tree.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/serde.h"
@@ -34,6 +35,29 @@ Status DecodeWalRecord(std::string_view data, EntryOp* op, std::string* key,
 bool EntryBefore(const Entry& a, const Entry& b) {
   const int c = a.key.compare(b.key);
   return c != 0 ? c < 0 : a.seq > b.seq;
+}
+
+/// Streams the (key asc, seq desc) merge of `runs` into `fn(const Entry&)`
+/// until it returns false. The entry it refused stays under its cursor, so
+/// a later call over the same runs resumes with it.
+template <typename Fn>
+Status MergeRuns(const std::vector<std::unique_ptr<EntryCursor>>& runs,
+                 Fn&& fn) {
+  // k-way merge: repeatedly take the smallest head. k is small (the memtable
+  // plus a handful of files), so a linear pick beats a heap.
+  while (true) {
+    EntryCursor* head = nullptr;
+    for (const auto& run : runs) {
+      const Entry* e = run->Current();
+      if (e != nullptr && (head == nullptr || EntryBefore(*e, *head->Current()))) {
+        head = run.get();
+      }
+    }
+    if (head == nullptr || !fn(*head->Current())) break;
+    head->Next();
+  }
+  for (const auto& run : runs) EVO_RETURN_IF_ERROR(run->status());
+  return Status::OK();
 }
 
 /// The smallest key above every key that starts with `prefix`: drop trailing
@@ -285,30 +309,22 @@ Result<std::optional<std::string>> LsmTree::GetAtSnapshot(
   return std::optional<std::string>(std::move(found->value));
 }
 
-template <typename Fn>
-Status LsmTree::MergeLocked(bool with_mem, const std::vector<FileMeta>& files,
-                            std::string_view lo, Fn&& fn) {
+std::vector<std::unique_ptr<EntryCursor>> LsmTree::OpenRunsLocked(
+    bool with_mem, const std::vector<FileMeta>& files,
+    std::string_view lo) const {
   std::vector<std::unique_ptr<EntryCursor>> runs;
   runs.reserve(files.size() + 1);
   if (with_mem) runs.push_back(std::make_unique<MemTable::Cursor>(mem_.Seek(lo)));
   for (const FileMeta& f : files) {
     runs.push_back(std::make_unique<SSTableReader::Cursor>(f.reader->Seek(lo)));
   }
-  // k-way merge: repeatedly take the smallest head. k is small (the memtable
-  // plus a handful of files), so a linear pick beats a heap.
-  while (true) {
-    EntryCursor* head = nullptr;
-    for (const auto& run : runs) {
-      const Entry* e = run->Current();
-      if (e != nullptr && (head == nullptr || EntryBefore(*e, *head->Current()))) {
-        head = run.get();
-      }
-    }
-    if (head == nullptr || !fn(*head->Current())) break;
-    head->Next();
-  }
-  for (const auto& run : runs) EVO_RETURN_IF_ERROR(run->status());
-  return Status::OK();
+  return runs;
+}
+
+template <typename Fn>
+Status LsmTree::MergeLocked(bool with_mem, const std::vector<FileMeta>& files,
+                            std::string_view lo, Fn&& fn) {
+  return MergeRuns(OpenRunsLocked(with_mem, files, lo), std::forward<Fn>(fn));
 }
 
 Status LsmTree::ScanPrefix(
@@ -342,6 +358,57 @@ Status LsmTree::ScanRange(
     if (e.op == EntryOp::kPut) fn(e.key, e.value);
     return true;
   });
+}
+
+LsmTree::PinnedScan::PinnedScan(LsmTree* tree)
+    : tree_(tree), seq_(tree->GetSnapshot()) {}
+
+LsmTree::PinnedScan::~PinnedScan() {
+  if (!done_) tree_->ReleaseSnapshot(seq_);
+}
+
+Result<bool> LsmTree::PinnedScan::Step(
+    size_t max_keys,
+    const std::function<void(std::string_view, std::string_view)>& fn) {
+  if (done_) return true;
+  std::lock_guard<std::mutex> lock(tree_->mu_);
+  if (!open_ || mem_generation_ != tree_->mem_generation_) {
+    // The memtable under the cursors is gone (flushed into an L0 file that
+    // holds what they had yet to read): start over on the current tree,
+    // which keeps every version visible at the pin.
+    runs_.clear();
+    files_.clear();
+    for (const auto& level : tree_->levels_) {
+      files_.insert(files_.end(), level.begin(), level.end());
+    }
+    std::string lo;
+    if (have_last_) lo = last_key_ + '\0';  // the least key above it
+    runs_ = tree_->OpenRunsLocked(/*with_mem=*/true, files_, lo);
+    mem_generation_ = tree_->mem_generation_;
+    open_ = true;
+  }
+  size_t taken = 0;
+  bool stopped = false;
+  EVO_RETURN_IF_ERROR(MergeRuns(runs_, [&](const Entry& e) {
+    if (e.seq > seq_) return true;                       // after the pin
+    if (have_last_ && e.key == last_key_) return true;   // older version
+    if (taken == max_keys) {
+      stopped = true;  // left under its cursor for the next step
+      return false;
+    }
+    ++taken;
+    last_key_ = e.key;
+    have_last_ = true;
+    if (e.op == EntryOp::kPut) fn(e.key, e.value);
+    return true;
+  }));
+  if (!stopped) {  // complete: release the pin and the files at once
+    done_ = true;
+    tree_->live_snapshots_.erase(tree_->live_snapshots_.find(seq_));
+    runs_.clear();
+    files_.clear();
+  }
+  return done_;
 }
 
 uint64_t LsmTree::GetSnapshot() {
@@ -393,6 +460,7 @@ Status LsmTree::FlushLocked() {
 
   // Reset memtable and start a fresh WAL segment.
   mem_ = MemTable();
+  ++mem_generation_;
   EVO_RETURN_IF_ERROR(wal_->Sync());
   EVO_RETURN_IF_ERROR(wal_->Close());
   uint64_t old_wal = wal_id_;

@@ -73,6 +73,8 @@ struct LsmStats {
 
 /// \brief The LSM key-value store.
 class LsmTree {
+  struct FileMeta;
+
  public:
   static Result<std::unique_ptr<LsmTree>> Open(const LsmOptions& options);
   ~LsmTree();
@@ -111,11 +113,13 @@ class LsmTree {
   Status ScanPrefix(std::string_view prefix, uint64_t snapshot_seq,
                     const std::function<void(std::string_view key,
                                              std::string_view value)>& fn);
-  /// \brief Scan at the latest sequence.
+  /// \brief Scan of the newest versions, read under the scan's own lock (a
+  /// sequence read in an earlier lock could lose its versions to a
+  /// compaction before the scan starts).
   Status ScanPrefix(std::string_view prefix,
                     const std::function<void(std::string_view key,
                                              std::string_view value)>& fn) {
-    return ScanPrefix(prefix, LatestSequence(), fn);
+    return ScanPrefix(prefix, UINT64_MAX, fn);
   }
 
   /// \brief Ordered scan of live keys in [lo, hi) at a snapshot.
@@ -123,6 +127,43 @@ class LsmTree {
                    uint64_t snapshot_seq,
                    const std::function<void(std::string_view key,
                                             std::string_view value)>& fn);
+
+  /// \brief An ordered scan of every live key at a pinned sequence, taken in
+  /// steps while the tree keeps taking writes, flushes, compactions and
+  /// ingests. The constructor pins the current sequence (GetSnapshot); the
+  /// last step, or else the destructor, releases it, and the scan must die
+  /// before the tree. Steps run under the tree mutex and resume one merge.
+  /// The scan holds its own reference to every SST it reads, so compaction
+  /// cannot take a file away from it; a replaced memtable makes the next
+  /// step rebuild the cursors over the current tree, past the last key taken.
+  class PinnedScan {
+   public:
+    explicit PinnedScan(LsmTree* tree);
+    ~PinnedScan();
+
+    PinnedScan(const PinnedScan&) = delete;
+    PinnedScan& operator=(const PinnedScan&) = delete;
+
+    /// \brief Takes the next keys visible at the pin, at most `max_keys` of
+    /// them (a deleted key counts), calling `fn` for each live one in key
+    /// order; true once the scan has passed the last key.
+    Result<bool> Step(size_t max_keys,
+                      const std::function<void(std::string_view key,
+                                               std::string_view value)>& fn);
+
+    uint64_t sequence() const { return seq_; }
+
+   private:
+    LsmTree* tree_;
+    const uint64_t seq_;
+    bool open_ = false;  ///< cursors built, over memtable mem_generation_
+    uint64_t mem_generation_ = 0;
+    std::vector<FileMeta> files_;  ///< keeps the cursors' files readable
+    std::vector<std::unique_ptr<EntryCursor>> runs_;
+    std::string last_key_;  ///< the last key taken
+    bool have_last_ = false;
+    bool done_ = false;
+  };
 
   /// \brief Pins the current sequence number; reads at it are repeatable
   /// until released. Used for queryable-state isolation and snapshots.
@@ -150,6 +191,11 @@ class LsmTree {
   Status FlushLocked();
   Status MaybeCompactLocked();
   Status CompactLevelLocked(int level);
+  /// Cursors over the memtable (if `with_mem`) and `files`, each at its
+  /// first key >= `lo`: the runs of one merge.
+  std::vector<std::unique_ptr<EntryCursor>> OpenRunsLocked(
+      bool with_mem, const std::vector<FileMeta>& files,
+      std::string_view lo) const;
   /// Streams the (key asc, seq desc) merge of the memtable (if `with_mem`)
   /// and `files`, from the first key >= `lo`, into `fn(const Entry&)` until
   /// it returns false. Every scan and every compaction reads through here.
@@ -173,6 +219,9 @@ class LsmTree {
   mutable std::mutex mu_;
 
   MemTable mem_;
+  /// Bumped wherever mem_ is replaced: a PinnedScan's memtable cursor is
+  /// valid only within one generation.
+  uint64_t mem_generation_ = 0;
   std::unique_ptr<WalWriter> wal_;
   uint64_t wal_id_ = 0;
 

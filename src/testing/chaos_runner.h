@@ -20,7 +20,10 @@
 ///    latest *completed* checkpoint. With `parked_kills` the schedule is
 ///    instead a seeded series of kills of operator tasks parked on their
 ///    wakeup word: each kill must end the park at once and surface as the
-///    job's first error. Invariants: committed output is always
+///    job's first error. With `lsm_state` the counts live on LsmBackend,
+///    whose snapshots stay pending for a few steps after the barrier, and
+///    the schedule also kills tasks inside such a step. Invariants:
+///    committed output is always
 ///    a sub-multiset of the fault-free output (no uncommitted epoch becomes
 ///    visible, no duplicates), and the run ends with the two equal — exactly
 ///    once despite every fault.
@@ -66,7 +69,9 @@
 #include "dataflow/source.h"
 #include "dataflow/topology.h"
 #include "state/env.h"
+#include "state/lsm_backend.h"
 #include "state/lsm_tree.h"
+#include "state/mem_backend.h"
 #include "state/state_api.h"
 #include "testing/fault_injector.h"
 #include "txn/saga.h"
@@ -117,6 +122,10 @@ class ChaosRunner {
     /// Kill 1-3 operator tasks, each once it is parked (idle) and after a
     /// seeded number of completed checkpoints in its incarnation.
     bool parked_kills = false;
+    /// Keep the keyed counts on LsmBackend (one MemEnv per incarnation),
+    /// whose snapshots the tasks serialize in steps after the barrier; the
+    /// schedule then also kills tasks in a step of a pending snapshot.
+    bool lsm_state = false;
   };
 
   explicit ChaosRunner(Options options) : options_(options) {}
@@ -251,6 +260,15 @@ class ChaosRunner {
       inj.SetRule("snapshot_store.save.pre", rule);
       ++installed;
     }
+    if (options_.lsm_state && rng->NextBool(0.8)) {
+      FaultRule rule;
+      rule.action = FaultAction::kCrash;
+      rule.after_n_hits = rng->NextBounded(12);
+      rule.max_fires = 1 + rng->NextBounded(2);
+      rule.message = "task killed in a pending snapshot's step";
+      inj.SetRule("task.snapshot.step", rule);
+      ++installed;
+    }
     if (installed == 0) {
       // Never run a completely fault-free "chaos" seed.
       FaultRule rule;
@@ -335,6 +353,21 @@ class ChaosRunner {
     auto& inj = FaultInjector::Instance();
     dataflow::JobConfig config;
     config.channel_capacity = 128;
+    state::MemEnv lsm_env;  // outlives the runner's backends
+    if (options_.lsm_state) {
+      config.backend_factory = [&lsm_env](const std::string& vertex,
+                                          uint32_t subtask)
+          -> std::unique_ptr<state::KeyedStateBackend> {
+        if (vertex != "count") return std::make_unique<state::MemBackend>();
+        state::LsmOptions lsm;
+        lsm.env = &lsm_env;
+        lsm.dir = "/count-" + std::to_string(subtask);
+        lsm.memtable_bytes = 4096;  // flushes and compactions mid-snapshot
+        auto backend = state::LsmBackend::Open(lsm);
+        EVO_CHECK_OK(backend.status());
+        return std::move(*backend);
+      };
+    }
     dataflow::JobRunner runner(BuildTopology(log, target), config);
     inj.AttachJournal(runner.journal());
 

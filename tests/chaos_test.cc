@@ -82,6 +82,21 @@ TEST(ChaosPipelineTest, ExactlyOnceWhenParkedOperatorTasksAreKilled) {
   }
 }
 
+TEST(ChaosPipelineTest, ExactlyOnceOnLsmStateWithTasksDyingMidSnapshot) {
+  // Counts on LsmBackend over enough keys that each snapshot is serialized
+  // in several steps after its barrier; tasks die inside those steps (and
+  // by the usual schedule). No partial snapshot may ever be acknowledged.
+  for (uint64_t seed : SeedsFor(6000, 6)) {
+    ChaosRunner::Options options;
+    options.seed = seed;
+    options.lsm_state = true;
+    options.num_keys = 1200;
+    options.num_records = 3000;
+    ChaosReport report = ChaosRunner(options).Run();
+    ASSERT_TRUE(report.ok) << report.error;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // WAL / LSM storage faults
 // ---------------------------------------------------------------------------

@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <map>
+#include <mutex>
 #include <set>
 
 #include "common/rng.h"
@@ -438,17 +441,9 @@ TEST(CheckpointTest, RescaleRedistributesStateByKeyGroup) {
   EXPECT_EQ(FinalCounts(sink2.Snapshot()), ExactCounts(log));
 }
 
-// Forwards to a MemBackend and counts what a restore does to it.
-class CountingBackend final : public state::KeyedStateBackend {
+// Forwards every call to a MemBackend; tests override what they watch.
+class ForwardingBackend : public state::KeyedStateBackend {
  public:
-  struct Counts {
-    std::atomic<int> restores{0};
-    std::atomic<uint64_t> restored_entries{0};
-    std::atomic<int> drops{0};
-  };
-
-  explicit CountingBackend(Counts* counts) : counts_(counts) {}
-
   Status Put(state::StateNamespace ns, uint64_t key, std::string_view uk,
              std::string_view value) override {
     return inner_.Put(ns, key, uk, value);
@@ -477,6 +472,32 @@ class CountingBackend final : public state::KeyedStateBackend {
     return inner_.SnapshotKeyGroups(from, to);
   }
   Status RestoreSnapshot(std::string_view snapshot) override {
+    return inner_.RestoreSnapshot(snapshot);
+  }
+  Status DropKeyGroups(uint32_t from, uint32_t to) override {
+    return inner_.DropKeyGroups(from, to);
+  }
+  Status Clear() override { return inner_.Clear(); }
+  uint64_t ApproxEntryCount() const override {
+    return inner_.ApproxEntryCount();
+  }
+
+ protected:
+  state::MemBackend inner_;
+};
+
+// Counts what a restore does to its MemBackend.
+class CountingBackend final : public ForwardingBackend {
+ public:
+  struct Counts {
+    std::atomic<int> restores{0};
+    std::atomic<uint64_t> restored_entries{0};
+    std::atomic<int> drops{0};
+  };
+
+  explicit CountingBackend(Counts* counts) : counts_(counts) {}
+
+  Status RestoreSnapshot(std::string_view snapshot) override {
     ++counts_->restores;
     counts_->restored_entries += EntriesIn(snapshot);
     return inner_.RestoreSnapshot(snapshot);
@@ -484,10 +505,6 @@ class CountingBackend final : public state::KeyedStateBackend {
   Status DropKeyGroups(uint32_t from, uint32_t to) override {
     ++counts_->drops;
     return inner_.DropKeyGroups(from, to);
-  }
-  Status Clear() override { return inner_.Clear(); }
-  uint64_t ApproxEntryCount() const override {
-    return inner_.ApproxEntryCount();
   }
 
   /// The entry count that starts a backend snapshot.
@@ -500,7 +517,6 @@ class CountingBackend final : public state::KeyedStateBackend {
 
  private:
   Counts* counts_;
-  state::MemBackend inner_;
 };
 
 /// Keyed-state entries in one task's snapshot payload.
@@ -609,6 +625,225 @@ TEST(DataflowTest, StopDoesNotWaitOutCheckpointInterval) {
   Stopwatch stop_watch;
   runner.Stop();
   EXPECT_LT(stop_watch.ElapsedMillis(), 1000);
+}
+
+// ---------------------------------------------------------------------------
+// Pending snapshots: a task pins its state at the barrier and serializes it
+// a step per sweep of its loop
+// ---------------------------------------------------------------------------
+
+/// What a stepped-snapshot test saw, in order.
+struct SnapshotLog {
+  void Add(std::string event) {
+    std::lock_guard<std::mutex> lock(mu);
+    events.push_back(std::move(event));
+  }
+  std::vector<std::string> Events() {
+    std::lock_guard<std::mutex> lock(mu);
+    return events;
+  }
+  size_t Count(const std::string& event) {
+    const std::vector<std::string> all = Events();
+    return static_cast<size_t>(std::count(all.begin(), all.end(), event));
+  }
+
+  std::mutex mu;
+  std::vector<std::string> events;
+  std::atomic<int> live_pins{0};
+  std::atomic<int> most_live_pins{0};
+};
+
+// Its snapshots need `steps` bounded Advance calls (an unbounded one
+// completes them at once) and log their pin and their take.
+class SteppedBackend final : public ForwardingBackend {
+ public:
+  SteppedBackend(SnapshotLog* log, int steps) : log_(log), steps_(steps) {}
+
+  std::unique_ptr<PendingSnapshot> PinKeyGroups(uint32_t from,
+                                                uint32_t to) override {
+    log_->Add("pin");
+    return std::make_unique<Stepped>(inner_.SnapshotKeyGroups(from, to),
+                                     steps_, log_);
+  }
+
+ private:
+  class Stepped final : public PendingSnapshot {
+   public:
+    Stepped(Result<std::string> snapshot, int steps, SnapshotLog* log)
+        : snapshot_(std::move(snapshot)), left_(steps), log_(log) {
+      const int live = ++log_->live_pins;
+      if (live > log_->most_live_pins) log_->most_live_pins = live;
+    }
+    ~Stepped() override { --log_->live_pins; }
+
+    Result<bool> Advance(size_t max_entries) override {
+      if (!snapshot_.ok()) return snapshot_.status();
+      left_ = max_entries == SIZE_MAX ? 0 : std::max(left_ - 1, 0);
+      return left_ == 0;
+    }
+    std::string Take() override {
+      log_->Add("take");
+      return std::move(*snapshot_);
+    }
+
+   private:
+    Result<std::string> snapshot_;
+    int left_;
+    SnapshotLog* log_;
+  };
+
+  SnapshotLog* log_;
+  int steps_;
+};
+
+/// Logs each record it processes and its Close.
+class LoggingOperator final : public Operator {
+ public:
+  explicit LoggingOperator(SnapshotLog* log) : log_(log) {}
+  Status ProcessRecord(Record&, Collector*) override {
+    log_->Add("rec");
+    return Status::OK();
+  }
+  Status Close(Collector*) override {
+    log_->Add("close");
+    return Status::OK();
+  }
+
+ private:
+  SnapshotLog* log_;
+};
+
+/// One operator task on a SteppedBackend, fed through one hand-filled
+/// channel; acks are logged as "ack<id>".
+struct SteppedTask {
+  explicit SteppedTask(int steps) {
+    runtime.on_snapshot = [this](uint64_t id, TaskSnapshot) {
+      log.Add("ack" + std::to_string(id));
+    };
+    task = std::make_unique<Task>(
+        "stepped", 0, 1, KeyGroup::kDefaultMaxParallelism,
+        std::make_unique<LoggingOperator>(&log),
+        std::make_unique<SteppedBackend>(&log, steps), &runtime);
+    InputChannel in;
+    in.channel = &channel;
+    task->AddInput(in);
+  }
+  ~SteppedTask() {
+    task->Cancel();
+    task->Join();
+  }
+
+  void PushRecords(int n) {
+    for (int i = 0; i < n; ++i) {
+      channel.Push(StreamElement::OfRecord(i, Value(int64_t{i})));
+    }
+  }
+  /// Starts the task on what was pushed and waits for it to finish.
+  bool RunToEnd() {
+    channel.Push(StreamElement::EndOfStream());
+    task->Start();
+    Stopwatch waited;
+    while (!task->finished()) {
+      if (waited.ElapsedMillis() > 5000) return false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
+  }
+
+  SnapshotLog log;
+  TaskRuntime runtime;
+  Channel channel{1024};
+  std::unique_ptr<Task> task;  // last: stops before the rest goes
+};
+
+TEST(PendingSnapshotTest, RecordsBehindTheBarrierRunBeforeTheAck) {
+  SteppedTask t(/*steps=*/6);
+  t.channel.Push(StreamElement::Barrier(1));
+  t.PushRecords(20);
+  ASSERT_TRUE(t.RunToEnd());
+  const std::vector<std::string> events = t.log.Events();
+  const auto pin = std::find(events.begin(), events.end(), "pin");
+  const auto ack = std::find(events.begin(), events.end(), "ack1");
+  ASSERT_NE(pin, events.end());
+  ASSERT_NE(ack, events.end());
+  // The snapshot was pinned first, then records ran between its steps.
+  EXPECT_GE(std::count(pin, ack, "rec"), 2);
+  EXPECT_EQ(std::count(events.begin(), events.end(), "rec"), 20);
+  EXPECT_EQ(*(ack - 1), "take");
+  EXPECT_EQ(events.back(), "close");
+  EXPECT_EQ(t.log.live_pins.load(), 0);
+}
+
+TEST(PendingSnapshotTest, NextBarrierCompletesThePendingSnapshotFirst) {
+  SteppedTask t(/*steps=*/1000000);  // never done by steps alone
+  t.channel.Push(StreamElement::Barrier(1));
+  t.PushRecords(2);
+  t.channel.Push(StreamElement::Barrier(2));
+  t.PushRecords(1);
+  ASSERT_TRUE(t.RunToEnd());
+  const std::vector<std::string> want = {"pin",  "rec",  "rec", "take",
+                                         "ack1", "pin",  "rec", "take",
+                                         "ack2", "close"};
+  EXPECT_EQ(t.log.Events(), want);
+  EXPECT_EQ(t.log.most_live_pins.load(), 1);
+  EXPECT_EQ(t.log.live_pins.load(), 0);
+}
+
+TEST(PendingSnapshotTest, EndOfStreamAcksBeforeClose) {
+  SteppedTask t(/*steps=*/1000000);
+  t.channel.Push(StreamElement::Barrier(7));
+  ASSERT_TRUE(t.RunToEnd());
+  const std::vector<std::string> want = {"pin", "take", "ack7", "close"};
+  EXPECT_EQ(t.log.Events(), want);
+  EXPECT_EQ(t.log.live_pins.load(), 0);
+}
+
+TEST(PendingSnapshotTest, FailureDropsThePendingSnapshotUnacked) {
+  SteppedTask t(/*steps=*/1 << 30);
+  t.channel.Push(StreamElement::Barrier(1));
+  t.PushRecords(3);
+  t.task->Start();
+  Stopwatch waited;
+  while (t.log.Count("rec") < 3 && waited.ElapsedMillis() < 5000) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(t.log.live_pins.load(), 1);
+  t.task->InjectFailure();
+  t.task->Join();
+  EXPECT_EQ(t.log.live_pins.load(), 0);
+  EXPECT_EQ(t.log.Count("take"), 0u);
+  EXPECT_EQ(t.log.Count("ack1"), 0u);
+}
+
+TEST(PendingSnapshotTest, StopWithASnapshotPendingLeavesNoPinAndNoAck) {
+  ReplayableLog log = MakeWordLog(20000, 50);
+  CollectingSink sink;
+  Topology topo = CountingTopology(&log, &sink, 2, /*end_at_eof=*/false);
+  SnapshotLog snapshots;
+  JobConfig config;
+  config.backend_factory = [&snapshots](const std::string& vertex, uint32_t)
+      -> std::unique_ptr<state::KeyedStateBackend> {
+    if (vertex != "count") return std::make_unique<state::MemBackend>();
+    return std::make_unique<SteppedBackend>(&snapshots, 1 << 30);
+  };
+  JobRunner runner(topo, config);
+  ASSERT_TRUE(runner.Start().ok());
+  // Never acked by the counting tasks, so it times out.
+  EXPECT_FALSE(runner.TriggerCheckpoint(300).ok());
+  EXPECT_EQ(snapshots.live_pins.load(), 2);
+  // A cancelled source still ends its stream, and end of input completes a
+  // pending snapshot; a failed one does not. So the source fails first and
+  // the counting tasks meet Stop() with their input open.
+  ASSERT_TRUE(runner.InjectFailure("src", 0).ok());
+  Task* src = runner.FindTask("src", 0);
+  for (int i = 0; i < 5000 && !src->finished(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(src->finished());
+  runner.Stop();
+  EXPECT_EQ(snapshots.live_pins.load(), 0);
+  EXPECT_EQ(snapshots.Count("take"), 0u);
+  EXPECT_FALSE(runner.LastCompletedCheckpoint().has_value());
 }
 
 // ---------------------------------------------------------------------------

@@ -5,12 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -719,6 +723,161 @@ TEST(LsmTest, IngestLandsBelowOnlyWhatItCannotShadow) {
 }
 
 // ---------------------------------------------------------------------------
+// Pinned scans
+// ---------------------------------------------------------------------------
+
+// Steps `scan` to its end `keys_per_step` keys at a time, calling `between`
+// after every step that left it unfinished; returns the rows it visited.
+Rows StepToEnd(LsmTree::PinnedScan* scan, size_t keys_per_step,
+               const std::function<void()>& between) {
+  Rows rows;
+  while (true) {
+    auto done = scan->Step(keys_per_step, [&](std::string_view k,
+                                              std::string_view v) {
+      rows.emplace_back(k, v);
+    });
+    EXPECT_TRUE(done.ok()) << done.status().ToString();
+    if (!done.ok() || *done) return rows;
+    between();
+  }
+}
+
+TEST(LsmPinnedScanTest, ReadsItsPinThroughFlushesCompactionsAndIngests) {
+  MemEnv env;
+  auto opened = LsmTree::Open(SmallLsm(&env, "/db"));
+  ASSERT_TRUE(opened.ok());
+  std::unique_ptr<LsmTree> tree = std::move(*opened);
+  auto key = [](int i) {
+    char buf[8];
+    std::snprintf(buf, sizeof(buf), "k%03d", i);
+    return std::string(buf);
+  };
+  // The pinned view spans the bottom level, L0 and the memtable.
+  Rows want;
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(tree->Put(key(i), "old" + std::to_string(i)).ok());
+    if (i == 120) ASSERT_TRUE(tree->CompactAll().ok());
+    if (i == 170) ASSERT_TRUE(tree->Flush().ok());
+  }
+  for (int i = 0; i < 200; i += 9) ASSERT_TRUE(tree->Delete(key(i)).ok());
+  for (int i = 0; i < 200; ++i) {
+    if (i % 9 != 0) want.emplace_back(key(i), "old" + std::to_string(i));
+  }
+
+  LsmTree::PinnedScan scan(tree.get());
+  Rng rng(7);
+  int round = 0;
+  const Rows got = StepToEnd(&scan, 7, [&] {
+    ++round;
+    for (int n = 0; n < 20; ++n) {
+      const int i = static_cast<int>(rng.NextBounded(260));
+      if (rng.NextBool(0.2)) {
+        ASSERT_TRUE(tree->Delete(key(i)).ok());
+      } else {
+        ASSERT_TRUE(tree->Put(key(i), "new").ok());
+      }
+    }
+    if (round % 3 == 0) ASSERT_TRUE(tree->Flush().ok());
+    if (round % 5 == 0) ASSERT_TRUE(tree->CompactAll().ok());
+    if (round % 7 == 0) {
+      ASSERT_TRUE(IngestRows(tree.get(), {{key(round), "ingested"},
+                                          {key(round + 1), "ingested"}})
+                      .ok());
+    }
+  });
+  EXPECT_GT(round, 20);
+  EXPECT_EQ(got, want);
+}
+
+TEST(LsmPinnedScanTest, PinIsReleasedOnCompletionAndOnDrop) {
+  for (const bool complete : {true, false}) {
+    SCOPED_TRACE(complete ? "completed" : "dropped");
+    MemEnv env;
+    auto opened = LsmTree::Open(SmallLsm(&env, "/db"));
+    ASSERT_TRUE(opened.ok());
+    std::unique_ptr<LsmTree> tree = std::move(*opened);
+    ASSERT_TRUE(tree->Put("k", "old").ok());
+    const uint64_t old_seq = tree->LatestSequence();
+    auto at_old_seq = [&] {
+      auto got = tree->GetAtSnapshot("k", old_seq);
+      EXPECT_TRUE(got.ok());
+      return got.ok() ? *got : std::nullopt;
+    };
+    // CompactAll leaves a lone bottom file alone: a new version of the key
+    // carries the file holding the old one into the merge.
+    auto overwrite_and_compact = [&] {
+      ASSERT_TRUE(tree->Put("k", "new").ok());
+      ASSERT_TRUE(tree->CompactAll().ok());
+    };
+    {
+      LsmTree::PinnedScan scan(tree.get());
+      EXPECT_EQ(scan.sequence(), old_seq);
+      overwrite_and_compact();
+      EXPECT_EQ(at_old_seq(), "old");  // the pin keeps the superseded version
+      if (complete) {
+        EXPECT_EQ(StepToEnd(&scan, 1, [] {}), (Rows{{"k", "old"}}));
+        // The last step released the pin; the scan object still lives.
+        overwrite_and_compact();
+        EXPECT_EQ(at_old_seq(), std::nullopt);
+      }
+    }
+    overwrite_and_compact();
+    EXPECT_EQ(at_old_seq(), std::nullopt);
+  }
+}
+
+TEST(LsmTest, ScanPrefixNeverMissesAKeyUnderConcurrentCompaction) {
+  // A writer overwrites every key in rounds. Each put flushes and every
+  // third compacts, dropping superseded versions as soon as no snapshot can
+  // see them. Scans of the newest versions must see every key, and never a
+  // round older than an earlier scan saw.
+  MemEnv env;
+  auto opened = LsmTree::Open(test_util::SmallLsmOptions(&env, "/db", 1));
+  ASSERT_TRUE(opened.ok());
+  std::unique_ptr<LsmTree> tree = std::move(*opened);
+  constexpr size_t kKeys = 4;
+  constexpr uint64_t kRounds = 500;
+  auto key = [](size_t i) { return "key" + std::to_string(i); };
+  for (size_t i = 0; i < kKeys; ++i) ASSERT_TRUE(tree->Put(key(i), "0").ok());
+
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (uint64_t round = 1; round <= kRounds; ++round) {
+      for (size_t i = 0; i < kKeys; ++i) {
+        EXPECT_TRUE(tree->Put(key(i), std::to_string(round)).ok());
+      }
+    }
+    done.store(true, std::memory_order_release);
+  });
+  // Three readers keep the tree mutex contended, so the writer often gets
+  // it between two locks of one reader.
+  std::atomic<size_t> scans{0}, bad_scans{0};
+  auto reader = [&] {
+    std::map<std::string, uint64_t> newest;  // the latest round each key showed
+    while (!done.load(std::memory_order_acquire)) {
+      size_t seen = 0;
+      bool went_back = false;
+      EXPECT_TRUE(tree->ScanPrefix("key", [&](std::string_view k,
+                                               std::string_view v) {
+                        ++seen;
+                        const uint64_t round = std::stoull(std::string(v));
+                        uint64_t& last = newest[std::string(k)];
+                        went_back |= round < last;
+                        last = std::max(last, round);
+                      }).ok());
+      bad_scans += seen != kKeys || went_back;
+      ++scans;
+    }
+  };
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) readers.emplace_back(reader);
+  writer.join();
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(bad_scans.load(), 0u) << "of " << scans.load() << " scans";
+  EXPECT_GT(tree->GetStats().compactions, 0u);
+}
+
+// ---------------------------------------------------------------------------
 // Differential test: the tree's reads against a versioned model
 // ---------------------------------------------------------------------------
 
@@ -789,6 +948,16 @@ TEST_P(LsmTreeModelTest, ReadsMatchVersionedModel) {
   VersionedModel model;
   std::vector<uint64_t> snapshots;  // pinned, possibly repeated
   int ingests = 0;
+  // Pinned scans in progress, stepped by their own generator so the
+  // operation stream above stays that of the seed.
+  struct OpenScan {
+    std::unique_ptr<LsmTree::PinnedScan> scan;
+    VersionedModel::Rows rows;
+    int pinned_at = 0;
+  };
+  std::vector<OpenScan> scans;
+  Rng scan_rng(GetParam() ^ 0x5ca115ull);
+  int scans_finished = 0, scans_stepped_across_ops = 0;
 
   auto collect = [](const auto& scan) {
     VersionedModel::Rows rows;
@@ -875,6 +1044,34 @@ TEST_P(LsmTreeModelTest, ReadsMatchVersionedModel) {
       tree->ReleaseSnapshot(snapshots[victim]);
       snapshots.erase(snapshots.begin() + static_cast<ptrdiff_t>(victim));
     }
+    if (scans.size() < 3 && scan_rng.NextBool(0.05)) {
+      scans.push_back({std::make_unique<LsmTree::PinnedScan>(tree), {}, step});
+    }
+    for (auto it = scans.begin(); it != scans.end();) {
+      if (!scan_rng.NextBool(0.3)) {
+        ++it;
+        continue;
+      }
+      // Mostly short steps, so scans span many operations.
+      const size_t max_keys =
+          1 + scan_rng.NextBounded(scan_rng.NextBool(0.8) ? 8 : 300);
+      auto done = it->scan->Step(max_keys, [&](std::string_view k,
+                                               std::string_view v) {
+        it->rows.emplace_back(std::string(k), std::string(v));
+      });
+      ASSERT_TRUE(done.ok()) << done.status().ToString();
+      if (!*done) {
+        ++it;
+        continue;
+      }
+      const uint64_t seq = it->scan->sequence();
+      EXPECT_EQ(it->rows,
+                model.Select(seq, [](const std::string&) { return true; }))
+          << "scan pinned at step " << it->pinned_at << ", done at " << step;
+      ++scans_finished;
+      scans_stepped_across_ops += it->pinned_at != step;
+      it = scans.erase(it);
+    }
     if (step % 100 == 0) {
       for (uint64_t snap : snapshots) check_view(snap, step);
       check_view(tree->LatestSequence(), step);
@@ -884,11 +1081,14 @@ TEST_P(LsmTreeModelTest, ReadsMatchVersionedModel) {
   EXPECT_GT(stats.flushes, 0u);
   EXPECT_GT(stats.compactions, 0u);
   EXPECT_GT(ingests, 0);
+  EXPECT_GT(scans_finished, 20);
+  EXPECT_GT(scans_stepped_across_ops, 10);
 
   // A reopen after a crash reads the same latest state (sequence numbers
   // are renumbered by the WAL replay, so compare values only).
   for (uint64_t snap : snapshots) tree->ReleaseSnapshot(snap);
   snapshots.clear();
+  scans.clear();
   owner.reset();
   env.SimulateCrash();
   opened = LsmTree::Open(options);

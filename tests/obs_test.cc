@@ -21,6 +21,10 @@
 #include "obs/reporter.h"
 #include "obs/tracing.h"
 #include "operators/window.h"
+#include "state/env.h"
+#include "state/lsm_backend.h"
+#include "state/mem_backend.h"
+#include "state/state_api.h"
 #include "time/watermarks.h"
 
 namespace evo {
@@ -540,6 +544,65 @@ TEST(EvoScopeJobTest, CheckpointMetricsPublished) {
   Histogram* snap = runner.metrics()->GetHistogram(
       obs::TaskMetricName("task_snapshot_time_ms", "sink", 0));
   EXPECT_EQ(snap->Count(), 2u);
+}
+
+TEST(EvoScopeJobTest, LsmJobExportsSnapshotPinAndPendingTimes) {
+  // Enough keys that the LSM snapshot takes several steps after its pin.
+  constexpr int kRecords = 3000;
+  dataflow::ReplayableLog log;
+  for (int i = 0; i < kRecords; ++i) {
+    log.Append(i, Value::Tuple("k" + std::to_string(i % 1500), int64_t{i}));
+  }
+  dataflow::Topology topo;
+  auto src = topo.AddSource("src", [&log] {
+    dataflow::LogSourceOptions options;
+    options.end_at_eof = false;  // keep running so checkpoints can land
+    return std::make_unique<dataflow::LogSource>(&log, options);
+  });
+  auto keyed = topo.KeyBy(src, "key", [](const Value& v) {
+    return v.AsList()[0];
+  });
+  auto count = topo.AddOperator("count", [] {
+    dataflow::ProcessOperator::Hooks hooks;
+    hooks.on_record = [](dataflow::OperatorContext* ctx, Record&,
+                         dataflow::Collector*) {
+      state::ValueState<int64_t> c(ctx->state(), "c");
+      return c.Put(c.GetOr(0).ValueOr(0) + 1);
+    };
+    return std::make_unique<dataflow::ProcessOperator>(hooks);
+  });
+  ASSERT_TRUE(topo.Connect(keyed, count, dataflow::Partitioning::kHash).ok());
+
+  state::MemEnv env;
+  dataflow::JobConfig config;
+  config.backend_factory = [&env](const std::string& vertex, uint32_t subtask)
+      -> std::unique_ptr<state::KeyedStateBackend> {
+    if (vertex != "count") return std::make_unique<state::MemBackend>();
+    state::LsmOptions options;
+    options.env = &env;
+    options.dir = "/obs-lsm-" + std::to_string(subtask);
+    auto lsm = state::LsmBackend::Open(options);
+    EXPECT_TRUE(lsm.ok());
+    return lsm.ok() ? std::move(*lsm) : nullptr;
+  };
+  dataflow::JobRunner runner(topo, config);
+  ASSERT_TRUE(runner.Start().ok());
+  for (int i = 0; i < 2000 && runner.RecordsIn()["count"] < kRecords; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_TRUE(runner.TriggerCheckpoint(15000).ok());
+  ASSERT_TRUE(runner.TriggerCheckpoint(15000).ok());
+  runner.Stop();
+
+  // The time the task was blocked (the pin) and the time from pin to ack.
+  for (const char* name : {"task_snapshot_time_ms", "task_snapshot_pending_ms"}) {
+    Histogram* h =
+        runner.metrics()->GetHistogram(obs::TaskMetricName(name, "count", 0));
+    EXPECT_EQ(h->Count(), 2u) << name;
+  }
+  EXPECT_NE(obs::ToPrometheusText(*runner.metrics())
+                .find("task_snapshot_pending_ms_count{subtask=\"0\",vertex=\"count\"} 2"),
+            std::string::npos);
 }
 
 TEST(EvoScopeJobTest, RestoredJobExportsRestoreTime) {

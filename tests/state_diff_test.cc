@@ -9,8 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <iterator>
 #include <map>
+#include <optional>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -369,6 +371,140 @@ TEST_P(IngestRestoreTest, MatchesPutReplay) {
     ExpectSameState(ingest.get(), replay.get(), "rescale");
   }
 }
+
+// LsmBackend::PinKeyGroups serializes a snapshot in steps while the backend
+// keeps taking writes, flushes, compactions, ingesting restores and drops.
+// Each finished snapshot must be byte-identical to SnapshotKeyGroups taken
+// at its pin, for full and partial key-group ranges.
+class PinnedSnapshotTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(PinnedSnapshotTest, StepsMatchSnapshotTakenAtThePin) {
+  MemEnv env;
+  auto opened = LsmBackend::Open(
+      test_util::SmallLsmOptions(&env, "/pinned", 1024), kMaxParallelism);
+  ASSERT_TRUE(opened.ok());
+  std::unique_ptr<LsmBackend> lsm = std::move(*opened);
+  Rng rng(GetParam());
+  auto write = [&] {
+    const uint64_t key = rng.NextBounded(60) * 0x9e3779b97f4a7c15ull;
+    const auto ns = static_cast<StateNamespace>(rng.NextBounded(3));
+    const std::string uk(rng.NextBounded(3), 'u');
+    if (rng.NextBool(0.2)) return lsm->Remove(ns, key, uk);
+    return lsm->Put(ns, key, uk, "v" + std::to_string(rng.NextU64() % 1000));
+  };
+  for (int i = 0; i < 400; ++i) ASSERT_TRUE(write().ok());
+
+  struct Pinned {
+    std::unique_ptr<KeyedStateBackend::PendingSnapshot> pending;
+    std::string want;
+    bool full = false;
+  };
+  std::vector<Pinned> pinned;
+  std::vector<std::string> finished;  // restored back in now and then
+  int partial = 0, steps_between_ops = 0;
+  for (int op = 0; op < 4000; ++op) {
+    if (pinned.size() < 2 && rng.NextBool(0.05)) {
+      uint32_t from = 0, to = kMaxParallelism;
+      if (rng.NextBool(0.5)) {
+        from = static_cast<uint32_t>(rng.NextBounded(kMaxParallelism));
+        to = from + 1 + static_cast<uint32_t>(rng.NextBounded(kMaxParallelism - from));
+      }
+      Pinned p;
+      p.pending = lsm->PinKeyGroups(from, to);
+      auto want = lsm->SnapshotKeyGroups(from, to);
+      ASSERT_TRUE(want.ok());
+      p.want = std::move(*want);
+      p.full = from == 0 && to == kMaxParallelism;
+      pinned.push_back(std::move(p));
+    }
+    const uint64_t roll = rng.NextBounded(100);
+    if (roll < 80) {
+      ASSERT_TRUE(write().ok());
+    } else if (roll < 87) {
+      ASSERT_TRUE(lsm->tree()->Flush().ok());
+    } else if (roll < 91) {
+      ASSERT_TRUE(lsm->tree()->CompactAll().ok());
+    } else if (roll < 96) {
+      if (!finished.empty()) {
+        ASSERT_TRUE(
+            lsm->RestoreSnapshot(finished[rng.NextBounded(finished.size())]).ok());
+      }
+    } else {
+      const auto kg = static_cast<uint32_t>(rng.NextBounded(kMaxParallelism));
+      ASSERT_TRUE(lsm->DropKeyGroups(kg, kg + 1).ok());
+    }
+    for (auto it = pinned.begin(); it != pinned.end();) {
+      if (!rng.NextBool(0.3)) {
+        ++it;
+        continue;
+      }
+      ++steps_between_ops;
+      auto done = it->pending->Advance(
+          1 + rng.NextBounded(rng.NextBool(0.8) ? 8 : 300));
+      ASSERT_TRUE(done.ok()) << done.status().ToString();
+      if (!*done) {
+        ++it;
+        continue;
+      }
+      const std::string got = it->pending->Take();
+      ASSERT_EQ(got, it->want) << "at op " << op << (it->full ? ", full" : "");
+      partial += !it->full;
+      finished.push_back(got);
+      it = pinned.erase(it);
+    }
+  }
+  EXPECT_GT(finished.size(), 40u);
+  EXPECT_GT(partial, 10);
+  EXPECT_GT(steps_between_ops, static_cast<int>(finished.size()) * 3);
+}
+
+TEST(PinnedSnapshotReleaseTest, PinGoesWithTheCompletedOrDroppedSnapshot) {
+  for (const bool complete : {true, false}) {
+    SCOPED_TRACE(complete ? "completed" : "dropped");
+    MemEnv env;
+    auto opened = LsmBackend::Open(
+        test_util::SmallLsmOptions(&env, "/release", 1024), kMaxParallelism);
+    ASSERT_TRUE(opened.ok());
+    std::unique_ptr<LsmBackend> lsm = std::move(*opened);
+    LsmTree* tree = lsm->tree();
+    ASSERT_TRUE(lsm->Put(0, 42, "", "old").ok());
+    std::string stored_key;  // the one key, as the tree stores it
+    ASSERT_TRUE(tree->ScanPrefix("", [&](std::string_view k, std::string_view) {
+                      stored_key = std::string(k);
+                    }).ok());
+    const uint64_t pin_seq = tree->LatestSequence();
+    auto version_at_pin = [&] {
+      auto got = tree->GetAtSnapshot(stored_key, pin_seq);
+      EXPECT_TRUE(got.ok());
+      return got.ok() ? *got : std::nullopt;
+    };
+    // The new version carries the old one's file into the compaction.
+    auto overwrite_and_compact = [&] {
+      ASSERT_TRUE(lsm->Put(0, 42, "", "new").ok());
+      ASSERT_TRUE(tree->CompactAll().ok());
+    };
+
+    auto pending = lsm->PinKeyGroups(0, kMaxParallelism);
+    overwrite_and_compact();
+    EXPECT_EQ(version_at_pin(), "old");  // kept for the pin
+    if (complete) {
+      auto done = pending->Advance(SIZE_MAX);
+      ASSERT_TRUE(done.ok() && *done);
+      const std::vector<Entry> want = {{0, 42, "", "old"}};
+      EXPECT_EQ(DecodeSnapshot(pending->Take()), want);
+    } else {
+      pending.reset();
+    }
+    overwrite_and_compact();
+    EXPECT_EQ(version_at_pin(), std::nullopt);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PinnedSnapshotTest,
+                         ::testing::Values(1, 2, 3, 4, 424242),
+                         [](const auto& info) {
+                           return std::to_string(info.param);
+                         });
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IngestRestoreTest,
                          ::testing::Values(1, 2, 3, 4, 424242),
