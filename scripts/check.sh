@@ -4,8 +4,9 @@
 # build of the data-plane, EvoScope-facing, keyed-state, LSM and windowing
 # suites (channel, obs, dataflow, integration, state, lsm, lsm_crash,
 # operators, window_diff, and the chaos suite's LSM storage-fault schedules,
-# whose ingests write SST files under faults) to catch memory errors/UB the
-# release build hides,
+# whose ingests write SST files under faults) and of EvoBench's own tests
+# (real jobs through flush, compaction, pinned checkpoint scans and
+# ingest-restore) to catch memory errors/UB the release build hides,
 # and a TSan build of the data-plane suites (channel ring buffer, task
 # loops and their park/wake protocol, stress tests, the chaos suite's
 # crash-recovery schedules) and of the LSM suite (pinned scans stepped
@@ -125,5 +126,16 @@ for t in channel_test obs_test dataflow_test integration_test \
 done
 echo "--- chaos_test (LSM schedules) ---"
 ./build-asan/tests/chaos_test --gtest_filter='*Lsm*'
+
+echo "=== asan/ubsan: EvoBench against src/ + evobench_test ==="
+# EndToEnd.ShortRunsAreCorrect drives real jobs whose LSM state entries view
+# memtable arenas and SST file buffers through flushes, compactions, pinned
+# checkpoint scans and ingest-restores.
+cmake -S perfbench -B build-perfbench-asan \
+  -DCMAKE_BUILD_TYPE=Debug \
+  -DCMAKE_CXX_FLAGS="$SAN_FLAGS" \
+  -DCMAKE_EXE_LINKER_FLAGS="$SAN_FLAGS" >/dev/null
+cmake --build build-perfbench-asan -j"$(nproc)" --target evobench_test
+./build-perfbench-asan/evobench_test
 
 echo "=== all checks passed ==="

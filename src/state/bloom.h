@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <string_view>
 #include <vector>
 
@@ -60,16 +61,26 @@ class BloomFilter {
   void EncodeTo(BinaryWriter* w) const {
     w->WriteU32(static_cast<uint32_t>(num_probes_));
     w->WriteVarU64(bits_.size());
-    for (uint64_t word : bits_) w->WriteU64(word);
+    // One copy of the words, each in the byte order WriteU64 gives it.
+    w->WriteRaw(bits_.data(), bits_.size() * sizeof(uint64_t));
   }
   Status DecodeFrom(BinaryReader* r) {
     uint32_t probes = 0;
     EVO_RETURN_IF_ERROR(r->ReadU32(&probes));
+    if (probes < 1 || probes > 30) {
+      return Status::DataLoss("BloomFilter: bad probe count");
+    }
     num_probes_ = static_cast<int>(probes);
     uint64_t n = 0;
     EVO_RETURN_IF_ERROR(r->ReadVarU64(&n));
-    bits_.assign(n, 0);
-    for (uint64_t i = 0; i < n; ++i) EVO_RETURN_IF_ERROR(r->ReadU64(&bits_[i]));
+    // A corrupt count must fail here, not size an allocation.
+    if (n == 0 || n > r->remaining() / 8) {
+      return Status::DataLoss("BloomFilter: word count past the end");
+    }
+    std::string_view words;
+    EVO_RETURN_IF_ERROR(r->ReadRaw(n * sizeof(uint64_t), &words));
+    bits_.resize(n);
+    std::memcpy(bits_.data(), words.data(), words.size());
     return Status::OK();
   }
 

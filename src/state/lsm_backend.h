@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -39,10 +40,10 @@ class LsmBackend final : public KeyedStateBackend {
   Status Put(StateNamespace ns, uint64_t key, std::string_view user_key,
              std::string_view value) override {
     if (hist_put_us_ == nullptr) {
-      return tree_->Put(Encode(ns, key, user_key), value);
+      return tree_->Put(Key(ns, key, user_key).view(), value);
     }
     Stopwatch watch;
-    Status st = tree_->Put(Encode(ns, key, user_key), value);
+    Status st = tree_->Put(Key(ns, key, user_key).view(), value);
     hist_put_us_->Record(static_cast<double>(watch.ElapsedNanos()) / 1000.0);
     return st;
   }
@@ -50,23 +51,23 @@ class LsmBackend final : public KeyedStateBackend {
   Result<std::optional<std::string>> Get(StateNamespace ns, uint64_t key,
                                          std::string_view user_key) override {
     if (hist_get_us_ == nullptr) {
-      return tree_->Get(Encode(ns, key, user_key));
+      return tree_->Get(Key(ns, key, user_key).view());
     }
     Stopwatch watch;
-    auto result = tree_->Get(Encode(ns, key, user_key));
+    auto result = tree_->Get(Key(ns, key, user_key).view());
     hist_get_us_->Record(static_cast<double>(watch.ElapsedNanos()) / 1000.0);
     return result;
   }
 
   Status Remove(StateNamespace ns, uint64_t key,
                 std::string_view user_key) override {
-    return tree_->Delete(Encode(ns, key, user_key));
+    return tree_->Delete(Key(ns, key, user_key).view());
   }
 
   Status IterateKey(StateNamespace ns, uint64_t key,
                     const std::function<void(std::string_view,
                                              std::string_view)>& fn) override {
-    return tree_->ScanPrefix(Encode(ns, key, ""),
+    return tree_->ScanPrefix(Key(ns, key, "").view(),
                              [&](std::string_view ck, std::string_view value) {
                                fn(Decode(ck).user_key, value);
                              });
@@ -77,7 +78,7 @@ class LsmBackend final : public KeyedStateBackend {
       const std::function<void(uint64_t, std::string_view, std::string_view)>&
           fn) override {
     return tree_->ScanPrefix(
-        Encode(ns, 0, "").substr(0, 4),  // the namespace bytes
+        Key(ns, 0, "").view().substr(0, 4),  // the namespace bytes
         [&](std::string_view ck, std::string_view value) {
           const Decoded d = Decode(ck);
           fn(d.key, d.user_key, value);
@@ -136,12 +137,9 @@ class LsmBackend final : public KeyedStateBackend {
           }));
       std::sort(order.begin(), order.end());
     }
-    std::string ck;  // one composite-key buffer for every put
     return tree_->Ingest(count, [&](const LsmTree::IngestPut& put) {
       auto emit = [&](const Item& it) {
-        ck.clear();
-        AppendKey(&ck, it.head, it.key, it.user_key);
-        return put(ck, it.value);
+        return put(CompositeKey(it.head, it.key, it.user_key).view(), it.value);
       };
       if (!sorted) {
         for (const Item& it : order) EVO_RETURN_IF_ERROR(emit(it));
@@ -154,12 +152,9 @@ class LsmBackend final : public KeyedStateBackend {
     });
   }
 
-  uint64_t ApproxEntryCount() const override {
-    LsmStats stats = tree_->GetStats();
-    uint64_t n = stats.memtable_bytes / 32;  // rough
-    for (uint64_t b : stats.bytes_per_level) n += b / 64;
-    return n;
-  }
+  /// Every version and tombstone the tree holds, so an upper bound on the
+  /// live entries.
+  uint64_t ApproxEntryCount() const override { return tree_->GetStats().entries; }
 
   void AttachMetrics(MetricsRegistry* registry,
                      const std::string& scope) override {
@@ -230,18 +225,38 @@ class LsmBackend final : public KeyedStateBackend {
   uint64_t Head(StateNamespace ns, uint64_t key) const {
     return uint64_t{ns} << 32 | KeyGroupOf(key);
   }
-  static void AppendKey(std::string* out, uint64_t head, uint64_t key,
-                        std::string_view user_key) {
-    StateKey::AppendU64BE(out, head);
-    StateKey::AppendU64BE(out, key);
-    out->append(user_key);
-  }
-  std::string Encode(StateNamespace ns, uint64_t key,
-                     std::string_view user_key) const {
-    std::string out;
-    out.reserve(16 + user_key.size());
-    AppendKey(&out, Head(ns, key), key, user_key);
-    return out;
+  /// A composite key built in a stack buffer; the heap is used only for a
+  /// user key longer than 48 bytes.
+  class CompositeKey {
+   public:
+    CompositeKey(uint64_t head, uint64_t key, std::string_view user_key)
+        : size_(16 + user_key.size()) {
+      char* out = inline_;
+      if (size_ > sizeof(inline_)) {
+        heap_ = std::make_unique_for_overwrite<char[]>(size_);
+        out = heap_.get();
+      }
+      PutU64BE(out, head);
+      PutU64BE(out + 8, key);
+      if (!user_key.empty()) std::memcpy(out + 16, user_key.data(), user_key.size());
+    }
+
+    std::string_view view() const {
+      return {heap_ != nullptr ? heap_.get() : inline_, size_};
+    }
+
+   private:
+    static void PutU64BE(char* out, uint64_t v) {
+      for (int i = 0; i < 8; ++i) out[i] = static_cast<char>(v >> (56 - 8 * i));
+    }
+
+    const size_t size_;
+    std::unique_ptr<char[]> heap_;
+    char inline_[64];
+  };
+  CompositeKey Key(StateNamespace ns, uint64_t key,
+                   std::string_view user_key) const {
+    return CompositeKey(Head(ns, key), key, user_key);
   }
   /// The parts of a composite key.
   struct Decoded {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/hash.h"
 #include "common/logging.h"
 #include "common/serde.h"
 #include "testing/fault_injector.h"
@@ -11,24 +12,22 @@ namespace evo::state {
 
 namespace {
 
-/// WAL record: op byte | key | value.
-std::string EncodeWalRecord(EntryOp op, std::string_view key,
-                            std::string_view value) {
-  BinaryWriter w;
-  w.WriteU8(static_cast<uint8_t>(op));
-  w.WriteBytes(key);
-  w.WriteBytes(value);
-  return w.Take();
+/// WAL record: op byte | key | value, encoded into `w` (cleared first).
+void EncodeWalRecord(const Entry& e, BinaryWriter* w) {
+  w->Clear();
+  w->WriteU8(static_cast<uint8_t>(e.op));
+  w->WriteBytes(e.key);
+  w->WriteBytes(e.value);
 }
 
-Status DecodeWalRecord(std::string_view data, EntryOp* op, std::string* key,
-                       std::string* value) {
+/// Decodes a WAL record into `e`, whose key and value view `data`.
+Status DecodeWalRecord(std::string_view data, Entry* e) {
   BinaryReader r(data);
   uint8_t op_byte = 0;
   EVO_RETURN_IF_ERROR(r.ReadU8(&op_byte));
-  *op = static_cast<EntryOp>(op_byte);
-  EVO_RETURN_IF_ERROR(r.ReadString(key));
-  return r.ReadString(value);
+  e->op = static_cast<EntryOp>(op_byte);
+  EVO_RETURN_IF_ERROR(r.ReadBytes(&e->key));
+  return r.ReadBytes(&e->value);
 }
 
 /// (key asc, seq desc): the order of every sorted run.
@@ -132,10 +131,9 @@ Status LsmTree::RecoverLocked() {
   if (env->FileExists(wal_path)) {
     EVO_ASSIGN_OR_RETURN(auto records, WalReader::ReadAll(env, wal_path));
     for (const std::string& rec : records) {
-      EntryOp op = EntryOp::kPut;
-      std::string key, value;
-      EVO_RETURN_IF_ERROR(DecodeWalRecord(rec, &op, &key, &value));
-      mem_.Add(key, ++seq_, op, value);
+      Entry e;
+      EVO_RETURN_IF_ERROR(DecodeWalRecord(rec, &e));
+      mem_.Add(e.key, ++seq_, e.op, e.value);
     }
   }
 
@@ -155,7 +153,8 @@ Status LsmTree::RecoverLocked() {
     std::sort(replay.begin(), replay.end(),
               [](const Entry& a, const Entry& b) { return a.seq < b.seq; });
     for (const Entry& e : replay) {
-      EVO_RETURN_IF_ERROR(wal_->Append(EncodeWalRecord(e.op, e.key, e.value)));
+      EncodeWalRecord(e, &wal_record_);
+      EVO_RETURN_IF_ERROR(wal_->Append(wal_record_.buffer()));
     }
     if (!replay.empty()) EVO_RETURN_IF_ERROR(wal_->Sync());
   }
@@ -185,7 +184,8 @@ Status LsmTree::WriteManifestLocked() {
 
 Status LsmTree::Write(std::string_view key, EntryOp op, std::string_view value) {
   std::lock_guard<std::mutex> lock(mu_);
-  EVO_RETURN_IF_ERROR(wal_->Append(EncodeWalRecord(op, key, value)));
+  EncodeWalRecord(Entry{key, 0, op, value}, &wal_record_);
+  EVO_RETURN_IF_ERROR(wal_->Append(wal_record_.buffer()));
   if (options_.sync_wal) EVO_RETURN_IF_ERROR(wal_->Sync());
   mem_.Add(key, ++seq_, op, value);
   if (op == EntryOp::kPut) {
@@ -229,8 +229,8 @@ Status LsmTree::Ingest(
   FileMeta meta;
   meta.id = id;
   meta.reader = std::move(*written);
-  const std::string& lo = meta.reader->smallest_key();
-  const std::string& hi = meta.reader->largest_key();
+  const std::string_view lo = meta.reader->smallest_key();
+  const std::string_view hi = meta.reader->largest_key();
   int level = -1;
   while (level + 1 < static_cast<int>(levels_.size()) &&
          std::none_of(levels_[level + 1].begin(), levels_[level + 1].end(),
@@ -246,7 +246,7 @@ Status LsmTree::Ingest(
     files.push_back(std::move(meta));  // newest L0 file
   } else {
     auto at = std::upper_bound(files.begin(), files.end(), lo,
-                               [](const std::string& k, const FileMeta& f) {
+                               [](std::string_view k, const FileMeta& f) {
                                  return k < f.reader->smallest_key();
                                });
     files.insert(at, std::move(meta));
@@ -261,12 +261,8 @@ Result<std::unique_ptr<SSTableReader>> LsmTree::WriteIngestFileLocked(
     const std::function<Status(const IngestPut& put)>& produce) {
   {  // the builder's buffer is freed before the reader loads the file
     SSTableBuilder builder(options_.env, SstPath(id), expected_keys);
-    Entry entry;  // reused, so a put allocates nothing once it has grown
-    entry.seq = seq;
     EVO_RETURN_IF_ERROR(produce([&](std::string_view key, std::string_view value) {
-      entry.key.assign(key);
-      entry.value.assign(value);
-      return builder.Add(entry);
+      return builder.Add(Entry{key, seq, EntryOp::kPut, value});
     }));
     if (builder.entry_count() == 0) return std::unique_ptr<SSTableReader>();
     EVO_RETURN_IF_ERROR(builder.Finish());
@@ -287,14 +283,16 @@ Result<std::optional<std::string>> LsmTree::GetAtSnapshot(
 
   // Newest first: the memtable, then L0 newest file first (files overlap and
   // are appended in flush order), then the deeper levels, whose files are
-  // disjoint so at most one per level can hold the key.
+  // disjoint so at most one per level can hold the key. The entry found views
+  // its run, so its value is copied out before the lock is released.
   std::optional<Entry> found = mem_.Get(key, snapshot_seq);
+  const uint64_t hash = found ? 0 : HashString(key);
   for (size_t level = 0; !found && level < levels_.size(); ++level) {
     const std::vector<FileMeta>& files = levels_[level];
     for (auto f = files.rbegin(); !found && f != files.rend(); ++f) {
       const SSTableReader& reader = *f->reader;
       if (key < reader.smallest_key() || key > reader.largest_key()) continue;
-      if (reader.MayContain(key)) {
+      if (reader.MayContainHash(hash)) {
         ++stats_.sst_reads;
         EVO_ASSIGN_OR_RETURN(found, reader.Get(key, snapshot_seq));
       } else {
@@ -306,7 +304,7 @@ Result<std::optional<std::string>> LsmTree::GetAtSnapshot(
   if (!found || found->op == EntryOp::kDelete) {
     return std::optional<std::string>{};
   }
-  return std::optional<std::string>(std::move(found->value));
+  return std::optional<std::string>(found->value);
 }
 
 std::vector<std::unique_ptr<EntryCursor>> LsmTree::OpenRunsLocked(
@@ -347,7 +345,7 @@ Status LsmTree::ScanRange(
       files.push_back(f);
     }
   }
-  std::string last_key;  // the key whose visible version was already taken
+  std::string_view last_key;  // the key whose visible version was taken
   bool have_last = false;
   return MergeLocked(/*with_mem=*/true, files, lo, [&](const Entry& e) {
     if (!hi.empty() && e.key >= hi) return false;
@@ -443,7 +441,9 @@ Status LsmTree::FlushLocked() {
 
   uint64_t id = next_file_id_++;
   {  // the builder's buffer is freed before the reader loads the file
-    SSTableBuilder builder(options_.env, SstPath(id), mem_.EntryCount());
+    // key + value + 32 per entry bounds the file's bytes per entry.
+    SSTableBuilder builder(options_.env, SstPath(id), mem_.EntryCount(),
+                           mem_.ApproximateBytes());
     for (auto c = mem_.Seek(""); c.Current() != nullptr; c.Next()) {
       EVO_RETURN_IF_ERROR(builder.Add(*c.Current()));
     }
@@ -515,8 +515,8 @@ Status LsmTree::CompactLevelLocked(int level) {
   std::vector<FileMeta> inputs = levels_[level];
   if (inputs.empty()) return Status::OK();
 
-  std::string min_key = inputs[0].reader->smallest_key();
-  std::string max_key = inputs[0].reader->largest_key();
+  std::string_view min_key = inputs[0].reader->smallest_key();
+  std::string_view max_key = inputs[0].reader->largest_key();
   for (const FileMeta& f : inputs) {
     min_key = std::min(min_key, f.reader->smallest_key());
     max_key = std::max(max_key, f.reader->largest_key());
@@ -537,13 +537,16 @@ Status LsmTree::CompactLevelLocked(int level) {
   // version of its key goes with it by the first rule.
   const uint64_t horizon = MinLiveSnapshotLocked();
   const bool bottom = (out_level == static_cast<int>(levels_.size()) - 1);
-  uint64_t input_entries = 0;
-  for (const FileMeta& f : inputs) input_entries += f.reader->entry_count();
+  uint64_t input_entries = 0, input_bytes = 0;
+  for (const FileMeta& f : inputs) {
+    input_entries += f.reader->entry_count();
+    input_bytes += f.reader->file_bytes();
+  }
   const uint64_t id = next_file_id_;
   bool wrote = false;
   {  // the builder's buffer is freed before the reader loads the file
-    SSTableBuilder builder(options_.env, SstPath(id), input_entries);
-    std::string prev_key;
+    SSTableBuilder builder(options_.env, SstPath(id), input_entries, input_bytes);
+    std::string_view prev_key;  // views an input, held for the whole merge
     uint64_t prev_seq = 0;
     bool have_prev = false;
     Status added;
@@ -608,13 +611,17 @@ LsmStats LsmTree::GetStats() const {
   LsmStats stats = stats_;
   stats.files_per_level.clear();
   stats.bytes_per_level.clear();
+  stats.entries = mem_.EntryCount();
   for (const auto& level : levels_) {
     stats.files_per_level.push_back(level.size());
     uint64_t bytes = 0;
-    for (const FileMeta& f : level) bytes += f.reader->entry_count() * 64;
+    for (const FileMeta& f : level) {
+      bytes += f.reader->file_bytes();
+      stats.entries += f.reader->entry_count();
+    }
     stats.bytes_per_level.push_back(bytes);
   }
-  stats.memtable_bytes = mem_.ApproximateBytes();
+  stats.memtable_bytes = mem_.ArenaBytes();
   return stats;
 }
 

@@ -67,8 +67,9 @@ struct LsmStats {
   uint64_t bloom_skips = 0;        ///< point reads skipped by bloom filters
   uint64_t sst_reads = 0;          ///< SST point probes actually executed
   std::vector<size_t> files_per_level;
-  std::vector<uint64_t> bytes_per_level;
-  size_t memtable_bytes = 0;
+  std::vector<uint64_t> bytes_per_level;  ///< file bytes the readers hold
+  size_t memtable_bytes = 0;              ///< the memtable's arena blocks
+  uint64_t entries = 0;  ///< memtable entries plus every file's entry count
 };
 
 /// \brief The LSM key-value store.
@@ -160,7 +161,9 @@ class LsmTree {
     uint64_t mem_generation_ = 0;
     std::vector<FileMeta> files_;  ///< keeps the cursors' files readable
     std::vector<std::unique_ptr<EntryCursor>> runs_;
-    std::string last_key_;  ///< the last key taken
+    /// The last key taken. It owns its bytes: the entry it was copied from
+    /// may view a memtable that a flush frees before the next step.
+    std::string last_key_;
     bool have_last_ = false;
     bool done_ = false;
   };
@@ -224,6 +227,7 @@ class LsmTree {
   uint64_t mem_generation_ = 0;
   std::unique_ptr<WalWriter> wal_;
   uint64_t wal_id_ = 0;
+  BinaryWriter wal_record_;  ///< the WAL record being written, reused
 
   uint64_t next_file_id_ = 1;
   uint64_t seq_ = 0;

@@ -8,6 +8,11 @@
 /// a point lookup at a snapshot seeks to the first entry for the key with
 /// seqno <= snapshot. Deletes are tombstone entries; they shadow older puts
 /// and are dropped once compaction carries them into the bottom level.
+///
+/// Each skiplist node is one bump allocation from the memtable's arena: the
+/// node header, its tower of next pointers, the key bytes, the value bytes.
+/// Nothing is freed until the whole memtable is, so an Entry read from it
+/// stays valid for the memtable's lifetime.
 
 #include <cstdint>
 #include <memory>
@@ -24,12 +29,14 @@ namespace evo::state {
 /// \brief Type of a memtable/SST entry.
 enum class EntryOp : uint8_t { kPut = 0, kDelete = 1 };
 
-/// \brief A versioned key-value entry.
+/// \brief A versioned key-value entry. `key` and `value` view the bytes of
+/// the run that holds the entry (a memtable's arena or an SST reader's file
+/// buffer) and are valid only while that run lives.
 struct Entry {
-  std::string key;
+  std::string_view key;
   uint64_t seq = 0;
   EntryOp op = EntryOp::kPut;
-  std::string value;
+  std::string_view value;
 };
 
 /// \brief A forward cursor over one sorted run (memtable or SST), in
@@ -46,7 +53,7 @@ class EntryCursor {
   virtual Status status() const { return Status::OK(); }
 };
 
-/// \brief Skiplist-backed sorted write buffer.
+/// \brief Skiplist-backed sorted write buffer over an arena.
 class MemTable {
   struct Node;
 
@@ -68,46 +75,73 @@ class MemTable {
   class Cursor final : public EntryCursor {
    public:
     const Entry* Current() const override {
-      return node_ == nullptr ? nullptr : &node_->entry;
+      return node_ == nullptr ? nullptr : &entry_;
     }
-    void Next() override { node_ = node_->next[0]; }
+    void Next() override { Load(node_->Tower()[0]); }
 
    private:
     friend class MemTable;
-    explicit Cursor(const Node* node) : node_(node) {}
+    explicit Cursor(const Node* node) { Load(node); }
+    void Load(const Node* node) {
+      node_ = node;
+      if (node != nullptr) entry_ = node->ToEntry();
+    }
     const Node* node_;
+    Entry entry_;
   };
 
   /// \brief Positions a cursor at the first entry whose key is >= `lo`.
   Cursor Seek(std::string_view lo) const { return Cursor(SeekGE(lo)); }
 
+  /// \brief key + value + 32 bytes per entry: the flush trigger.
   size_t ApproximateBytes() const { return bytes_; }
+  /// \brief Bytes of the arena blocks this memtable holds.
+  size_t ArenaBytes() const { return arena_bytes_; }
   size_t EntryCount() const { return count_; }
   bool Empty() const { return count_ == 0; }
 
  private:
   static constexpr int kMaxHeight = 12;
+  static constexpr size_t kBlockBytes = 64 << 10;
 
+  /// The header of one arena allocation; the tower of `height` next pointers
+  /// follows it, then the key bytes, then the value bytes.
   struct Node {
-    Entry entry;
-    std::vector<Node*> next;
+    uint64_t seq;
+    uint32_t key_size;
+    uint32_t value_size;
+    EntryOp op;
+    uint8_t height;
+
+    Node** Tower() {
+      return reinterpret_cast<Node**>(reinterpret_cast<char*>(this) +
+                                      sizeof(Node));
+    }
+    Node* const* Tower() const {
+      return reinterpret_cast<Node* const*>(
+          reinterpret_cast<const char*>(this) + sizeof(Node));
+    }
+    std::string_view Key() const {
+      return {reinterpret_cast<const char*>(Tower() + height), key_size};
+    }
+    Entry ToEntry() const {
+      const char* key = reinterpret_cast<const char*>(Tower() + height);
+      return Entry{{key, key_size}, seq, op, {key + key_size, value_size}};
+    }
   };
+  static_assert(sizeof(Node) % alignof(Node*) == 0);
 
   Node* NewNode(std::string_view key, uint64_t seq, EntryOp op,
-                std::string_view value, int height) {
-    auto node = std::make_unique<Node>();
-    node->entry = Entry{std::string(key), seq, op, std::string(value)};
-    node->next.assign(height, nullptr);
-    Node* raw = node.get();
-    arena_.push_back(std::move(node));
-    return raw;
-  }
+                std::string_view value, int height);
+  /// `bytes` from the current block, or from a new one; a request over a
+  /// quarter of a block gets a block of its own.
+  char* Allocate(size_t bytes);
 
-  /// Orders by (key asc, seq desc): returns true if a < b.
-  static bool EntryLess(const Entry& a, std::string_view key, uint64_t seq) {
-    int c = a.key.compare(key);
+  /// Orders by (key asc, seq desc): true if node `a` sorts before (key, seq).
+  static bool NodeLess(const Node* a, std::string_view key, uint64_t seq) {
+    int c = a->Key().compare(key);
     if (c != 0) return c < 0;
-    return a.seq > seq;  // higher seq sorts earlier
+    return a->seq > seq;  // higher seq sorts earlier
   }
 
   int RandomHeight() {
@@ -118,8 +152,11 @@ class MemTable {
 
   const Node* SeekGE(std::string_view key) const;
 
+  std::vector<std::unique_ptr<char[]>> blocks_;
+  char* block_next_ = nullptr;  ///< free space in the current block
+  size_t block_left_ = 0;
+  size_t arena_bytes_ = 0;
   Node* head_;
-  std::vector<std::unique_ptr<Node>> arena_;
   Rng rng_;
   size_t bytes_ = 0;
   size_t count_ = 0;

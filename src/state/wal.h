@@ -30,11 +30,13 @@ class WalWriter {
     return std::unique_ptr<WalWriter>(new WalWriter(std::move(file)));
   }
 
+  /// \brief Frames `payload` in a buffer reused across appends (callers
+  /// serialize appends) and writes the frame.
   Status Append(std::string_view payload) {
-    BinaryWriter frame;
-    frame.WriteVarU64(payload.size());
-    frame.WriteU32(Crc32(payload));
-    frame.WriteRaw(payload.data(), payload.size());
+    frame_.Clear();
+    frame_.WriteVarU64(payload.size());
+    frame_.WriteU32(Crc32(payload));
+    frame_.WriteRaw(payload.data(), payload.size());
     switch (EVO_FAULT_POINT("wal.append.pre_fsync")) {
       case evo::testing::FaultAction::kError:
       case evo::testing::FaultAction::kCrash:
@@ -45,7 +47,7 @@ class WalWriter {
         // also raises the crash flag — chaos drivers must crash-and-reopen
         // before issuing further appends, keeping the tear at the log tail
         // (prefix durability; a tear mid-log would poison later records).
-        std::string_view buf = frame.buffer();
+        std::string_view buf = frame_.buffer();
         Status st = file_->Append(buf.substr(0, buf.size() / 2));
         evo::testing::FaultInjector::Instance().RequestCrash();
         if (st.ok()) st = Status::IOError("injected torn WAL record");
@@ -54,7 +56,7 @@ class WalWriter {
       default:
         break;
     }
-    return file_->Append(frame.buffer());
+    return file_->Append(frame_.buffer());
   }
 
   Status Sync() {
@@ -68,6 +70,7 @@ class WalWriter {
   explicit WalWriter(std::unique_ptr<WritableFile> file)
       : file_(std::move(file)) {}
   std::unique_ptr<WritableFile> file_;
+  BinaryWriter frame_;
 };
 
 /// \brief Replays all intact records from a log file.

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <functional>
 #include <map>
 #include <memory>
@@ -173,6 +174,17 @@ TEST(BloomTest, SerdeRoundTrip) {
   EXPECT_FALSE(back.MayContain("definitely-not-there-123456"));
 }
 
+TEST(BloomTest, DecodeRejectsWordCountPastTheEnd) {
+  // A corrupt word count fails before it sizes an allocation.
+  BinaryWriter w;
+  w.WriteU32(6);
+  w.WriteVarU64(uint64_t{1} << 40);
+  w.WriteU64(0);
+  BloomFilter back;
+  BinaryReader r(w.buffer());
+  EXPECT_EQ(back.DecodeFrom(&r).code(), StatusCode::kDataLoss);
+}
+
 // ---------------------------------------------------------------------------
 // MemTable
 // ---------------------------------------------------------------------------
@@ -254,6 +266,87 @@ TEST(MemTableTest, ManyKeysRandomOrderStillSorted) {
     }
   }
   EXPECT_EQ(distinct, keys.size());
+}
+
+TEST(MemTableTest, ValueLargerThanAnArenaBlock) {
+  MemTable mem;
+  const std::string big(200 << 10, 'b');  // arena blocks are 64 KiB
+  mem.Add("a", 1, EntryOp::kPut, "small");
+  mem.Add("big", 2, EntryOp::kPut, big);
+  mem.Add("c", 3, EntryOp::kPut, "small");
+  auto got = mem.Get("big", 10);
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->value, big);
+  std::vector<std::string> keys;
+  for (auto c = mem.Seek(""); c.Current() != nullptr; c.Next()) {
+    keys.emplace_back(c.Current()->key);
+  }
+  EXPECT_EQ(keys, (std::vector<std::string>{"a", "big", "c"}));
+  EXPECT_GE(mem.ArenaBytes(), big.size());
+}
+
+TEST(MemTableTest, EmptyKeyAndEmptyValue) {
+  MemTable mem;
+  mem.Add("", 1, EntryOp::kPut, "");
+  mem.Add("k", 2, EntryOp::kPut, "");
+  mem.Add("", 3, EntryOp::kPut, "v");
+  auto newest = mem.Get("", 10);
+  ASSERT_TRUE(newest.has_value());
+  EXPECT_EQ(newest->key, "");
+  EXPECT_EQ(newest->value, "v");
+  auto oldest = mem.Get("", 2);
+  ASSERT_TRUE(oldest.has_value());
+  EXPECT_EQ(oldest->seq, 1u);
+  EXPECT_EQ(oldest->value, "");
+  auto empty_value = mem.Get("k", 10);
+  ASSERT_TRUE(empty_value.has_value());
+  EXPECT_EQ(empty_value->value, "");
+  auto c = mem.Seek("");
+  ASSERT_NE(c.Current(), nullptr);
+  EXPECT_EQ(c.Current()->key, "");
+  EXPECT_EQ(c.Current()->seq, 3u);
+}
+
+TEST(MemTableTest, ThousandVersionsOfOneKey) {
+  MemTable mem;
+  Rng rng(3);
+  std::vector<uint64_t> seqs;
+  for (uint64_t seq = 1; seq <= 1000; ++seq) seqs.push_back(seq);
+  for (size_t i = seqs.size(); i > 1; --i) {
+    std::swap(seqs[i - 1], seqs[rng.NextBounded(i)]);
+  }
+  for (uint64_t seq : seqs) {
+    mem.Add("k", seq, EntryOp::kPut, "v" + std::to_string(seq));
+  }
+  for (uint64_t snap = 1; snap <= 1000; snap += 37) {
+    auto got = mem.Get("k", snap);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(got->value, "v" + std::to_string(snap));
+  }
+  uint64_t expect = 1000;
+  for (auto c = mem.Seek("k"); c.Current() != nullptr; c.Next(), --expect) {
+    EXPECT_EQ(c.Current()->seq, expect);
+  }
+  EXPECT_EQ(expect, 0u);
+}
+
+TEST(MemTableTest, CursorEntryOutlivesLaterAdds) {
+  MemTable mem;
+  mem.Add("m", 1, EntryOp::kPut, "middle");
+  auto c = mem.Seek("m");
+  ASSERT_NE(c.Current(), nullptr);
+  const Entry seen = *c.Current();
+  for (int i = 0; i < 10000; ++i) {
+    mem.Add("k" + std::to_string(i), static_cast<uint64_t>(i + 2),
+            EntryOp::kPut, std::string(static_cast<size_t>(i % 97), 'x'));
+  }
+  EXPECT_EQ(seen.key, "m");
+  EXPECT_EQ(seen.value, "middle");
+  ASSERT_NE(c.Current(), nullptr);
+  EXPECT_EQ(c.Current()->value, "middle");
+  c.Next();
+  EXPECT_EQ(c.Current(), nullptr);  // every later key sorts before "m"
+  EXPECT_EQ(mem.EntryCount(), 10001u);
 }
 
 // ---------------------------------------------------------------------------
@@ -357,6 +450,39 @@ TEST(SSTableTest, CorruptDataDetectedOnOpen) {
   auto reader = SSTableReader::Open(&env, "/t.sst");
   EXPECT_FALSE(reader.ok());
   EXPECT_EQ(reader.status().code(), StatusCode::kDataLoss);
+}
+
+TEST(SSTableTest, CorruptBloomOrIndexDetectedOnOpen) {
+  // The footer crc covers the bloom and index blocks too: a flipped byte in
+  // either fails the open, rather than a filter that turns present keys away
+  // or an index that misplaces a seek.
+  MemEnv env;
+  SSTableBuilder builder(&env, "/t.sst", 1000);
+  char buf[16];
+  for (int i = 0; i < 1000; ++i) {
+    std::snprintf(buf, sizeof(buf), "key%04d", i);
+    ASSERT_TRUE(builder.Add(Entry{buf, 1, EntryOp::kPut, "v"}).ok());
+  }
+  ASSERT_TRUE(builder.Finish().ok());
+  auto data = env.ReadFileToString("/t.sst");
+  ASSERT_TRUE(data.ok());
+  const std::string file = *data;
+  // The footer is 48 bytes and starts with u64 bloom_off, u64 index_off.
+  uint64_t bloom_off = 0, index_off = 0;
+  std::memcpy(&bloom_off, file.data() + file.size() - 48, 8);
+  std::memcpy(&index_off, file.data() + file.size() - 40, 8);
+  ASSERT_LT(bloom_off + 16, index_off);
+  // A bloom word (past the u32 probe count and the word-count varint), then
+  // the first index key's first byte (past the stripe count and key length).
+  for (const uint64_t at : {bloom_off + 12, index_off + 2}) {
+    SCOPED_TRACE(at == index_off + 2 ? "index" : "bloom");
+    std::string mutated = file;
+    mutated[at] ^= 0x01;
+    ASSERT_TRUE(env.WriteStringToFile("/t.sst", mutated).ok());
+    auto reader = SSTableReader::Open(&env, "/t.sst");
+    EXPECT_FALSE(reader.ok());
+    EXPECT_EQ(reader.status().code(), StatusCode::kDataLoss);
+  }
 }
 
 TEST(SSTableTest, SeekLandsOnNewestVersionOfFirstKeyAtOrAfter) {
@@ -875,6 +1001,69 @@ TEST(LsmTest, ScanPrefixNeverMissesAKeyUnderConcurrentCompaction) {
   for (std::thread& t : readers) t.join();
   EXPECT_EQ(bad_scans.load(), 0u) << "of " << scans.load() << " scans";
   EXPECT_GT(tree->GetStats().compactions, 0u);
+}
+
+TEST(LsmTest, GetNeverReadsAFreedRunUnderConcurrentFlushAndCompaction) {
+  // Point reads race a writer that flushes every third put (freeing the
+  // memtable's arena) and compacts every third flush (dropping the SST
+  // readers it replaces), so reads land in both kinds of run. A value
+  // is copied out of its run under the tree mutex, so it must always be
+  // whole: the round it names, repeated, and never older than an earlier
+  // read of the same key. ASan and TSan runs of this test catch a value that
+  // views a freed block or file buffer.
+  MemEnv env;
+  // An entry accounts for 4 + 64 + 32 bytes: the third put reaches 256.
+  auto opened = LsmTree::Open(test_util::SmallLsmOptions(&env, "/db", 256));
+  ASSERT_TRUE(opened.ok());
+  std::unique_ptr<LsmTree> tree = std::move(*opened);
+  constexpr size_t kKeys = 4;
+  constexpr uint64_t kRounds = 400;
+  auto key = [](size_t i) { return "key" + std::to_string(i); };
+  // "<round>:" and then the round's digits again, padded to 64 bytes.
+  auto value = [](uint64_t round) {
+    const std::string digits = std::to_string(round);
+    std::string v = digits + ":";
+    while (v.size() < 64) v += digits;
+    return v.substr(0, 64);
+  };
+  for (size_t i = 0; i < kKeys; ++i) ASSERT_TRUE(tree->Put(key(i), value(0)).ok());
+
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (uint64_t round = 1; round <= kRounds; ++round) {
+      for (size_t i = 0; i < kKeys; ++i) {
+        EXPECT_TRUE(tree->Put(key(i), value(round)).ok());
+      }
+    }
+    done.store(true, std::memory_order_release);
+  });
+  std::atomic<size_t> gets{0}, bad_gets{0};
+  // Every reader sweeps at least once: after the last put two keys are in
+  // the memtable and two in SSTs, so both kinds of run are read.
+  auto reader = [&] {
+    std::vector<uint64_t> newest(kKeys, 0);
+    do {
+      for (size_t i = 0; i < kKeys; ++i) {
+        auto got = tree->Get(key(i));
+        ++gets;
+        if (!got.ok() || !got->has_value()) {
+          ++bad_gets;
+          continue;
+        }
+        const uint64_t round = std::stoull(got->value());
+        bad_gets += **got != value(round) || round < newest[i];
+        newest[i] = std::max(newest[i], round);
+      }
+    } while (!done.load(std::memory_order_acquire));
+  };
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) readers.emplace_back(reader);
+  writer.join();
+  for (std::thread& t : readers) t.join();
+  EXPECT_EQ(bad_gets.load(), 0u) << "of " << gets.load() << " gets";
+  const LsmStats stats = tree->GetStats();
+  EXPECT_GT(stats.compactions, 0u);
+  EXPECT_GT(stats.sst_reads, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -160,6 +160,62 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, BackendTest,
                          ::testing::Values("mem", "lsm", "external"),
                          [](const auto& info) { return info.param; });
 
+TEST(LsmBackendTest, MemoryGaugesReportHeldBytes) {
+  // state_memtable_bytes is the memtable's arena, state_sst_bytes the file
+  // buffers the SST readers hold, and the entry count is exact.
+  MemEnv env;
+  auto opened = LsmBackend::Open(
+      test_util::SmallLsmOptions(&env, "/lsm", size_t{1} << 20));
+  ASSERT_TRUE(opened.ok());
+  std::unique_ptr<LsmBackend> backend = std::move(*opened);
+  MetricsRegistry registry;
+  backend->AttachMetrics(&registry, "t");
+  const std::string labels = "{backend=\"lsm\",scope=\"t\"}";
+  Gauge* memtable = registry.GetGauge("state_memtable_bytes" + labels);
+  Gauge* sst = registry.GetGauge("state_sst_bytes" + labels);
+  auto sst_file_bytes = [&] {
+    auto names = env.ListDir("/lsm");
+    EXPECT_TRUE(names.ok());
+    double bytes = 0;
+    for (const std::string& name : *names) {
+      if (name.size() < 4 || name.compare(name.size() - 4, 4, ".sst") != 0) {
+        continue;
+      }
+      auto file = env.ReadFileToString("/lsm/" + name);
+      EXPECT_TRUE(file.ok());
+      bytes += static_cast<double>(file->size());
+    }
+    return bytes;
+  };
+
+  const std::string value(100, 'v');
+  double added = 0;
+  for (uint64_t key = 0; key < 500; ++key) {
+    ASSERT_TRUE(backend->Put(1, key, "", value).ok());
+    added += 16 + static_cast<double>(value.size());  // composite key + value
+  }
+  backend->PublishMetrics();
+  EXPECT_GE(memtable->Value(), added);
+  const double full_memtable = memtable->Value();
+  EXPECT_EQ(sst->Value(), 0);
+  EXPECT_EQ(backend->ApproxEntryCount(), 500u);
+
+  ASSERT_TRUE(backend->tree()->Flush().ok());
+  backend->PublishMetrics();
+  EXPECT_GT(sst->Value(), 0);
+  EXPECT_EQ(sst->Value(), sst_file_bytes());
+  EXPECT_LT(memtable->Value(), full_memtable);  // a fresh memtable's arena
+  EXPECT_EQ(backend->ApproxEntryCount(), 500u);
+
+  for (uint64_t key = 0; key < 100; ++key) {
+    ASSERT_TRUE(backend->Put(1, key, "", "new").ok());
+  }
+  ASSERT_TRUE(backend->tree()->CompactAll().ok());
+  backend->PublishMetrics();
+  EXPECT_EQ(sst->Value(), sst_file_bytes());
+  EXPECT_EQ(backend->ApproxEntryCount(), 500u);  // superseded versions dropped
+}
+
 // ---------------------------------------------------------------------------
 // Typed state API
 // ---------------------------------------------------------------------------
