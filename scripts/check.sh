@@ -6,8 +6,9 @@
 # operators, window_diff, and the chaos suite's LSM storage-fault schedules,
 # whose ingests write SST files under faults) and of EvoBench's own tests
 # (real jobs through flush, compaction, pinned checkpoint scans and
-# ingest-restore) to catch memory errors/UB the release build hides,
-# and a TSan build of the data-plane suites (channel ring buffer, task
+# ingest-restore) to catch memory errors/UB the release build hides
+# (channel_test also runs with leak detection on, since channels own the
+# elements queued in them), and a TSan build of the data-plane suites (channel ring buffer, task
 # loops and their park/wake protocol, stress tests, the chaos suite's
 # crash-recovery schedules) and of the LSM suite (pinned scans stepped
 # between writes, scans racing a writer's compactions) to catch ordering
@@ -126,6 +127,10 @@ for t in channel_test obs_test dataflow_test integration_test \
 done
 echo "--- chaos_test (LSM schedules) ---"
 ./build-asan/tests/chaos_test --gtest_filter='*Lsm*'
+echo "--- channel_test (leak-checked) ---"
+# Channels own their queued elements: destroying a channel, or stopping a
+# job, with heap-owning records still queued must free each exactly once.
+ASAN_OPTIONS=detect_leaks=1 ./build-asan/tests/channel_test
 
 echo "=== asan/ubsan: EvoBench against src/ + evobench_test ==="
 # EndToEnd.ShortRunsAreCorrect drives real jobs whose LSM state entries view

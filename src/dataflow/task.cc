@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 
 #include "common/logging.h"
 #include "obs/exporters.h"
@@ -440,10 +441,10 @@ Status Task::RunOperatorLoop() {
     for (size_t n = 0; n < inputs_.size(); ++n) {
       size_t i = (cursor + n) % inputs_.size();
       if (input_ended_[i] || input_blocked_[i]) continue;
-      StreamElement element;
-      if (inputs_[i].channel->PopBatch(&element, 1) == 0) continue;
+      std::optional<StreamElement> element = inputs_[i].channel->TryPop();
+      if (!element.has_value()) continue;
       progressed = true;
-      EVO_RETURN_IF_ERROR(HandleElement(i, std::move(element)));
+      EVO_RETURN_IF_ERROR(HandleElement(i, std::move(*element)));
     }
     cursor = (cursor + 1) % std::max<size_t>(inputs_.size(), 1);
     // A pending snapshot takes one bounded step per sweep, so records keep

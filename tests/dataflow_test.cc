@@ -1,5 +1,5 @@
-// End-to-end tests of the dataflow engine: channels and backpressure,
-// topology validation, record routing across partitionings, watermarks and
+// End-to-end tests of the dataflow engine: backpressure, topology
+// validation, record routing across partitionings, watermarks and
 // event-time timers through the pipeline, checkpoint/restore (exactly-once
 // state), rescaling with state migration, and cyclic (feedback) dataflows.
 
@@ -20,42 +20,6 @@
 
 namespace evo::dataflow {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Channel
-// ---------------------------------------------------------------------------
-
-TEST(ChannelTest, FifoOrderAndClose) {
-  Channel ch(4);
-  EXPECT_TRUE(ch.Push(StreamElement::Watermark(1)));
-  EXPECT_TRUE(ch.Push(StreamElement::Watermark(2)));
-  auto a = ch.TryPop();
-  auto b = ch.TryPop();
-  ASSERT_TRUE(a.has_value() && b.has_value());
-  EXPECT_EQ(a->time, 1);
-  EXPECT_EQ(b->time, 2);
-  EXPECT_FALSE(ch.TryPop().has_value());
-  ch.Close();
-  EXPECT_FALSE(ch.Push(StreamElement::Watermark(3)));
-}
-
-TEST(ChannelTest, TryPushFailsWhenFull) {
-  Channel ch(2);
-  EXPECT_TRUE(ch.TryPush(StreamElement::Watermark(1)));
-  EXPECT_TRUE(ch.TryPush(StreamElement::Watermark(2)));
-  EXPECT_FALSE(ch.TryPush(StreamElement::Watermark(3)));
-  EXPECT_DOUBLE_EQ(ch.Fullness(), 1.0);
-}
-
-TEST(ChannelTest, BlockingPushRecordsBackpressureTime) {
-  Channel ch(1);
-  ASSERT_TRUE(ch.Push(StreamElement::Watermark(1)));
-  std::thread producer([&] { ch.Push(StreamElement::Watermark(2)); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_TRUE(ch.TryPop().has_value());  // unblocks the producer
-  producer.join();
-  EXPECT_GT(ch.BlockedNanos(), 1000000);  // >1ms spent blocked
-}
 
 // ---------------------------------------------------------------------------
 // Topology validation
