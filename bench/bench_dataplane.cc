@@ -1,7 +1,12 @@
 // Experiment E16 — data-plane cost: the SPSC ring channel against the
 // pre-ring mutex channel it replaced, across the three exchange patterns
 // the engine uses (forward / hash / broadcast), one element per push and
-// one per pop, as engine tasks move them.
+// one per pop, as engine tasks move them. Those three move watermarks; a
+// fourth, forward exchange moves records carrying the EvoBench input
+// payload, Tuple(id, due, amount). The ring encodes such a record into its
+// slot and decodes it on the consumer; the mutex baseline moves the Value
+// itself, as the engine did before, so its consumer frees the blocks its
+// producer allocated.
 //
 // Two measurements per configuration:
 //  - saturated throughput (records/sec, producer and consumers flat out;
@@ -124,13 +129,14 @@ std::optional<StreamElement> PopWait(MutexChannel& ch, dataflow::WakeupWord&,
   return ch.PopWait(timeout_ms);
 }
 
-enum class Exchange { kForward, kHash, kBroadcast };
+enum class Exchange { kForward, kHash, kBroadcast, kForwardRecord };
 
 const char* Name(Exchange e) {
   switch (e) {
     case Exchange::kForward: return "forward";
     case Exchange::kHash: return "hash";
     case Exchange::kBroadcast: return "broadcast";
+    case Exchange::kForwardRecord: return "forward_record";
   }
   return "?";
 }
@@ -140,8 +146,22 @@ size_t Fanout(Exchange e) {
     case Exchange::kForward: return 1;
     case Exchange::kHash: return 4;
     case Exchange::kBroadcast: return 3;
+    case Exchange::kForwardRecord: return 1;
   }
   return 1;
+}
+
+// Element `i` of an exchange, stamped with `stamp` (0: no latency sample).
+// Records carry the stamp as their event time.
+StreamElement MakeElement(Exchange mode, size_t i, int64_t stamp) {
+  if (mode != Exchange::kForwardRecord) return StreamElement::Watermark(stamp);
+  const int64_t id = static_cast<int64_t>(i);
+  return StreamElement::OfRecord(Record(
+      stamp, HashInt(i), Value::Tuple(id, id * 1000, id % 1000)));
+}
+
+int64_t StampOf(const StreamElement& e) {
+  return e.is_record() ? e.record.event_time : e.time;
 }
 
 struct EdgeResult {
@@ -201,15 +221,15 @@ EdgeResult RunExchange(Exchange mode, size_t n) {
           if (!e.has_value()) continue;
         }
         empties = 0;
-        // Only 1-in-32 elements carry a stamp (time != 0): a clock read
-        // per record would dominate the per-record cost being measured.
-        if (e->time != 0) lat[c].push_back(NowNanos() - e->time);
+        // Only 1-in-32 elements carry a stamp (nonzero): a clock read per
+        // record would dominate the per-record cost being measured.
+        if (StampOf(*e) != 0) lat[c].push_back(NowNanos() - StampOf(*e));
       }
     });
   }
 
   for (size_t i = 0; i < n; ++i) {
-    StreamElement e = StreamElement::Watermark((i & 31) == 0 ? NowNanos() : 0);
+    StreamElement e = MakeElement(mode, i, (i & 31) == 0 ? NowNanos() : 0);
     if (mode == Exchange::kBroadcast) {
       for (size_t t = 0; t + 1 < fanout; ++t) channels[t]->Push(e);
       channels[fanout - 1]->Push(std::move(e));
@@ -274,9 +294,9 @@ int main() {
 
   bench::Table table({"exchange", "impl", "records/sec", "p99_us"});
   double worst_ratio = 0;
-  for (Exchange mode :
-       {Exchange::kForward, Exchange::kHash, Exchange::kBroadcast}) {
-    const size_t n = mode == Exchange::kForward ? kRecords : kRecords / 2;
+  for (Exchange mode : {Exchange::kForward, Exchange::kHash,
+                        Exchange::kBroadcast, Exchange::kForwardRecord}) {
+    const size_t n = Fanout(mode) == 1 ? kRecords : kRecords / 2;
     const std::string name = Name(mode);
     EdgeResult base = RunExchange<MutexChannel>(mode, n);
     EdgeResult ring = RunExchange<Channel>(mode, n);

@@ -16,13 +16,23 @@
 /// downstream task's thread pops. (A role may pass from one thread to
 /// another if the two are ordered, e.g. by a thread join.)
 ///
-/// The implementation is a fixed-size power-of-two ring of raw slots: Push
-/// move-constructs the element in the slot at `head_` and publishes it with
-/// a release store of `head_ + 1`; TryPop moves it out, destroys it and
-/// frees the slot with a release store of `tail_ + 1`. Each cursor has one
-/// writer, so neither side needs a CAS, and each side rereads the other's
-/// cursor only when its last copy says full (or empty). Slots are never
-/// constructed up front: memory is touched only as elements pass through.
+/// Records cross in wire form, as they would between the machines of a
+/// distributed deployment: Push encodes the payload with Value::EncodeTo
+/// into the slot and TryPop decodes it with Value::DecodeFrom on the
+/// consumer's thread. So every heap block of a payload is allocated and
+/// freed by one thread, never malloc'ed by the producer and free'd by the
+/// consumer, which costs glibc an order of magnitude more per block.
+///
+/// The implementation is a fixed-size power-of-two ring of 128-byte slots
+/// (two cache lines): the element's kind, its time and tag (a record's
+/// event time and key) and up to kInlineBytes of encoded payload. A longer
+/// payload goes, as the same bytes, to one heap buffer the slot owns. Push
+/// writes the slot at `head_` and publishes it with a release store of
+/// `head_ + 1`; TryPop decodes the slot at `tail_` and only then frees it
+/// with a release store of `tail_ + 1`. Each cursor has one writer, so
+/// neither side needs a CAS, and each side rereads the other's cursor only
+/// when its last copy says full (or empty). Slots are never initialized up
+/// front: memory is touched only as elements pass through.
 ///
 /// The two sides park differently. A producer blocked on a full ring parks
 /// on the channel's own mutex + condvar (the backpressure slow path). The
@@ -41,12 +51,15 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <thread>
 
 #include "common/clock.h"
+#include "common/logging.h"
+#include "common/serde.h"
 #include "dataflow/wakeup.h"
 #include "event/element.h"
 #include "testing/fault_injector.h"
@@ -69,34 +82,42 @@ enum class Partitioning {
 /// with blocking push (backpressure) and non-blocking pop.
 class Channel {
  public:
+  /// Bytes of encoded payload a slot holds in place; longer payloads go to
+  /// a heap buffer. Each EvoBench payload fits: 29 B for the input tuple,
+  /// 38 B and 58 B for the two workloads' results.
+  static constexpr size_t kInlineBytes = 104;
+
   explicit Channel(size_t capacity = 1024)
       : capacity_(capacity == 0 ? 1 : capacity),
         ring_mask_(RingSize(capacity_) - 1),
-        slots_(std::allocator<StreamElement>().allocate(ring_mask_ + 1)) {}
+        slots_(std::allocator<Slot>().allocate(ring_mask_ + 1)) {}
 
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
 
-  /// \brief Destroys the elements still queued.
+  /// \brief Frees the heap payloads of the elements still queued.
   ~Channel() {
     const uint64_t head = head_.load(std::memory_order_relaxed);
     for (uint64_t pos = tail_.load(std::memory_order_relaxed); pos != head;
          ++pos) {
-      std::destroy_at(SlotAt(pos));
+      const Slot* slot = SlotAt(pos);
+      if (slot->OnHeap()) delete[] slot->heap;
     }
-    std::allocator<StreamElement>().deallocate(slots_, ring_mask_ + 1);
+    std::allocator<Slot>().deallocate(slots_, ring_mask_ + 1);
   }
 
-  /// \brief Blocks while the channel is full (backpressure), then enqueues.
-  /// Returns false if the channel was closed. Producer only.
-  bool Push(StreamElement e) {
+  /// \brief Blocks while the channel is full (backpressure), then enqueues
+  /// `e` in wire form; the caller keeps `e`, so one element can be pushed
+  /// to several channels. Returns false if the channel was closed. Producer
+  /// only.
+  bool Push(const StreamElement& e) {
     if (e.is_barrier()) {
       // Chaos: control-element mischief on the "wire" — a duplicated,
       // delayed or dropped barrier stresses alignment dedup (the dedup in
       // Task::HandleBarrier) and checkpoint-timeout handling respectively.
       switch (EVO_FAULT_POINT("channel.barrier.push")) {
         case evo::testing::FaultAction::kDuplicate:
-          if (!Enqueue(StreamElement(e))) return false;
+          if (!Enqueue(e)) return false;
           break;
         case evo::testing::FaultAction::kDelay:
           std::this_thread::sleep_for(std::chrono::milliseconds(
@@ -109,7 +130,7 @@ class Channel {
           break;
       }
     }
-    return Enqueue(std::move(e));
+    return Enqueue(e);
   }
 
   /// \brief Non-blocking pop: the oldest element, or nothing if the channel
@@ -120,9 +141,8 @@ class Channel {
       head_seen_ = head_.load(std::memory_order_acquire);
       if (tail == head_seen_) return std::nullopt;
     }
-    StreamElement* slot = SlotAt(tail);
-    std::optional<StreamElement> e(std::move(*slot));
-    std::destroy_at(slot);
+    std::optional<StreamElement> e(std::in_place);
+    Decode(*SlotAt(tail), &*e);
     tail_.store(tail + 1, std::memory_order_release);
     WakeProducer();
     return e;
@@ -172,14 +192,74 @@ class Channel {
   }
 
  private:
+  /// One ring slot, two cache lines. For a record `time` and `tag` carry
+  /// its event time and key and `size` its encoded payload's length;
+  /// control elements use the fields of the same names.
+  struct alignas(64) Slot {
+    uint32_t size;
+    ElementKind kind;
+    CheckpointMode mode;
+    bool key_scoped;
+    int64_t time;
+    uint64_t tag;
+    union {
+      char bytes[kInlineBytes];  ///< the payload, when size <= kInlineBytes
+      char* heap;                ///< owned buffer for a longer payload
+    };
+
+    bool OnHeap() const { return size > kInlineBytes; }
+    const char* payload() const { return OnHeap() ? heap : bytes; }
+  };
+  static_assert(sizeof(Slot) == 128);
+
   static size_t RingSize(size_t capacity) {
     size_t n = 1;
     while (n < capacity) n <<= 1;
     return n;
   }
 
-  StreamElement* SlotAt(uint64_t pos) const {
-    return slots_ + (pos & ring_mask_);
+  Slot* SlotAt(uint64_t pos) const { return slots_ + (pos & ring_mask_); }
+
+  // Producer side: writes `e` into a free slot.
+  void Encode(const StreamElement& e, Slot* slot) {
+    slot->kind = e.kind;
+    if (!e.is_record()) {
+      slot->size = 0;
+      slot->mode = e.mode;
+      slot->key_scoped = e.key_scoped;
+      slot->time = e.time;
+      slot->tag = e.tag;
+      return;
+    }
+    slot->time = e.record.event_time;
+    slot->tag = e.record.key;
+    scratch_.Clear();
+    e.record.payload.EncodeTo(&scratch_);
+    const std::string& bytes = scratch_.buffer();
+    EVO_CHECK(bytes.size() <= UINT32_MAX) << "record payload over 4 GB";
+    slot->size = static_cast<uint32_t>(bytes.size());
+    char* dst = slot->OnHeap() ? (slot->heap = new char[bytes.size()])
+                               : slot->bytes;
+    std::memcpy(dst, bytes.data(), bytes.size());
+  }
+
+  // Consumer side: rebuilds the element from its slot and frees the slot's
+  // heap buffer, if any. The bytes were encoded by Encode, so a decode
+  // error is a bug in the channel.
+  static void Decode(const Slot& slot, StreamElement* out) {
+    out->kind = slot.kind;
+    if (slot.kind != ElementKind::kRecord) {
+      out->mode = slot.mode;
+      out->key_scoped = slot.key_scoped;
+      out->time = slot.time;
+      out->tag = slot.tag;
+      return;
+    }
+    out->record.event_time = slot.time;
+    out->record.key = slot.tag;
+    BinaryReader reader(std::string_view(slot.payload(), slot.size));
+    EVO_CHECK_OK(Value::DecodeFrom(&reader, &out->record.payload));
+    if (slot.OnHeap()) delete[] slot.heap;
   }
 
   size_t SizeRelaxed() const {
@@ -191,8 +271,8 @@ class Channel {
   // Whether the producer may push; also its park predicate. The bound is the
   // logical capacity, which may be below the ring size when the requested
   // capacity is not a power of two. tail_ is reloaded only when the last
-  // value seen says full; its acquire load orders the consumer's destroy of
-  // a slot before our construct in it.
+  // value seen says full; its acquire load orders the consumer's decode of
+  // a slot before our write to it.
   bool CanPush() {
     const uint64_t head = head_.load(std::memory_order_relaxed);
     if (head - tail_seen_ < capacity_) return true;
@@ -200,7 +280,7 @@ class Channel {
     return head - tail_seen_ < capacity_;
   }
 
-  bool Enqueue(StreamElement&& e) {
+  bool Enqueue(const StreamElement& e) {
     while (true) {
       if (closed_.load(std::memory_order_acquire)) return false;
       if (CanPush()) break;
@@ -222,7 +302,7 @@ class Channel {
                                std::memory_order_relaxed);
     }
     const uint64_t head = head_.load(std::memory_order_relaxed);
-    std::construct_at(SlotAt(head), std::move(e));
+    Encode(e, SlotAt(head));
     head_.store(head + 1, std::memory_order_release);
     WakeConsumer();
     return true;
@@ -259,7 +339,7 @@ class Channel {
 
   const size_t capacity_;   ///< logical bound (backpressure threshold)
   const size_t ring_mask_;  ///< ring size (pow2 >= capacity) minus one
-  StreamElement* const slots_;  ///< raw storage; live in [tail_, head_)
+  Slot* const slots_;       ///< raw storage; written in [tail_, head_)
 
   // Each cursor has one writer and sits on its own cache line, so the
   // producer and consumer do not false-share. Next to it, its writer keeps
@@ -268,6 +348,7 @@ class Channel {
   // stale value says full or empty.
   alignas(64) std::atomic<uint64_t> head_{0};  ///< next position to enqueue
   uint64_t tail_seen_ = 0;                     ///< producer's copy of tail_
+  BinaryWriter scratch_;  ///< producer's encode buffer, reused across pushes
   alignas(64) std::atomic<uint64_t> tail_{0};  ///< next position to dequeue
   uint64_t head_seen_ = 0;                     ///< consumer's copy of head_
   alignas(64) std::atomic<bool> closed_{false};

@@ -11,7 +11,8 @@ namespace {
 /// The ring is reserved, not constructed: a channel's memory becomes
 /// resident only as its slots are first written, so an idle feedback edge
 /// costs next to nothing. This is no bound, though: once 2^20 elements
-/// have passed through one, all of its ring (about 96 MB) is resident.
+/// have passed through one, all of its ring (2^20 128-byte slots, 128 MB)
+/// is resident.
 constexpr size_t kFeedbackChannelCapacity = 1 << 20;
 }  // namespace
 

@@ -762,59 +762,40 @@ Status Task::StepSnapshot(size_t max_keys) {
 
 void Task::EmitRecordDownstream(Record record) {
   ++records_out_;
+  // Channels take elements in wire form, so every target encodes from this
+  // one element: fan-out copies no payload.
+  const StreamElement e = StreamElement::OfRecord(std::move(record));
   for (size_t g = 0; g < outputs_.size(); ++g) {
     OutputGate& gate = outputs_[g];
-    const bool last_gate = (g + 1 == outputs_.size());
     switch (gate.partitioning) {
-      case Partitioning::kForward: {
-        size_t target = subtask_ % gate.channels.size();
-        EmitTo(g, target,
-               last_gate ? StreamElement::OfRecord(std::move(record))
-                         : StreamElement::OfRecord(record));
+      case Partitioning::kForward:
+        EmitTo(g, subtask_ % gate.channels.size(), e);
         break;
-      }
       case Partitioning::kHash: {
-        uint32_t kg = KeyGroup::OfHash(record.key,
-                                              gate.downstream_max_parallelism);
+        uint32_t kg = KeyGroup::OfHash(e.record.key,
+                                       gate.downstream_max_parallelism);
         uint32_t target = KeyGroup::Owner(
             kg, gate.downstream_max_parallelism,
             static_cast<uint32_t>(gate.channels.size()));
-        EmitTo(g, target,
-               last_gate ? StreamElement::OfRecord(std::move(record))
-                         : StreamElement::OfRecord(record));
+        EmitTo(g, target, e);
         break;
       }
-      case Partitioning::kBroadcast: {
-        // Fan out with copies for all targets but the last; the record (and
-        // its Value payload) moves into the final channel.
-        const size_t n = gate.channels.size();
-        for (size_t i = 0; i + 1 < n; ++i) {
-          EmitTo(g, i, StreamElement::OfRecord(record));
-        }
-        if (n > 0) {
-          EmitTo(g, n - 1,
-                 last_gate ? StreamElement::OfRecord(std::move(record))
-                           : StreamElement::OfRecord(record));
-        }
+      case Partitioning::kBroadcast:
+        for (size_t i = 0; i < gate.channels.size(); ++i) EmitTo(g, i, e);
         break;
-      }
-      case Partitioning::kRebalance: {
-        size_t target = gate.rr_cursor++ % gate.channels.size();
-        EmitTo(g, target,
-               last_gate ? StreamElement::OfRecord(std::move(record))
-                         : StreamElement::OfRecord(record));
+      case Partitioning::kRebalance:
+        EmitTo(g, gate.rr_cursor++ % gate.channels.size(), e);
         break;
-      }
     }
   }
 }
 
-void Task::EmitTo(size_t gate_index, size_t target, StreamElement e) {
+void Task::EmitTo(size_t gate_index, size_t target, const StreamElement& e) {
   OutputGate& gate = outputs_[gate_index];
   if (gate.feedback != nullptr) {
     gate.feedback->in_flight.fetch_add(1, std::memory_order_acq_rel);
   }
-  gate.channels[target]->Push(std::move(e));
+  gate.channels[target]->Push(e);
 }
 
 void Task::BroadcastControl(const StreamElement& e) {

@@ -251,7 +251,7 @@ class Task {
   Status PollProcessingTimers();
 
   void EmitRecordDownstream(Record record);
-  void EmitTo(size_t gate_index, size_t target, StreamElement e);
+  void EmitTo(size_t gate_index, size_t target, const StreamElement& e);
   void BroadcastControl(const StreamElement& e);
   void ForwardLatencyMarker(const StreamElement& e);
   void EmitEndOfStream();

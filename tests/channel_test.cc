@@ -1,6 +1,7 @@
 // Tests for the data plane: SPSC ring channel semantics (FIFO order across
 // ring wrap, exact logical capacity, blocking backpressure, close-wakes-
 // producer, destruction of queued elements, residency of unwritten slots,
+// bit-exact wire-form round trips of every value type and control kind,
 // a stress run with a parked consumer and concurrent lock-free metric
 // reads, and a many-producer, many-consumer mesh of channels), the task
 // wakeup protocol (seeded lost-wakeup races against a
@@ -13,9 +14,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <cmath>
 #include <deque>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -201,6 +205,119 @@ TEST(RingChannelTest, CloseWakesBlockedProducer) {
   ASSERT_TRUE(a.has_value() && b.has_value());
   EXPECT_EQ(a->time, 0);
   EXPECT_EQ(b->time, 1);
+  EXPECT_FALSE(ch.TryPop().has_value());
+}
+
+// ---------------------------------------------------------------------------
+// Wire form: records cross a channel encoded
+// ---------------------------------------------------------------------------
+
+/// Equal type and equal bits: a double is compared by its bit pattern, so
+/// -0.0 differs from 0.0 and a NaN equals the same NaN.
+bool SameBits(const Value& a, const Value& b) {
+  if (a.type() != b.type()) return false;
+  if (a.is_double()) {
+    return std::bit_cast<uint64_t>(a.AsDouble()) ==
+           std::bit_cast<uint64_t>(b.AsDouble());
+  }
+  if (!a.is_list()) return a == b;
+  const ValueList& la = a.AsList();
+  const ValueList& lb = b.AsList();
+  if (la.size() != lb.size()) return false;
+  for (size_t i = 0; i < la.size(); ++i) {
+    if (!SameBits(la[i], lb[i])) return false;
+  }
+  return true;
+}
+
+/// Pushes each payload as a record through one channel, three at a time so
+/// the cursors wrap its ring of four, and checks event time, key and
+/// payload bits on the way out.
+void ExpectRecordsRoundTrip(const std::vector<Value>& payloads) {
+  Channel ch(3);
+  size_t popped = 0;
+  for (size_t pushed = 0; pushed < payloads.size();) {
+    for (int n = 0; n < 3 && pushed < payloads.size(); ++n, ++pushed) {
+      const TimeMs ts = -1000 + static_cast<TimeMs>(pushed);
+      const uint64_t key = ~uint64_t{0} - pushed;
+      ASSERT_TRUE(ch.Push(StreamElement::OfRecord(
+          Record(ts, key, payloads[pushed]))));
+    }
+    while (auto e = ch.TryPop()) {
+      SCOPED_TRACE("payload " + std::to_string(popped));
+      ASSERT_TRUE(e->is_record());
+      EXPECT_EQ(e->record.event_time, -1000 + static_cast<TimeMs>(popped));
+      EXPECT_EQ(e->record.key, ~uint64_t{0} - popped);
+      EXPECT_TRUE(SameBits(e->record.payload, payloads[popped]))
+          << e->record.payload.ToString() << " vs "
+          << payloads[popped].ToString();
+      ++popped;
+    }
+  }
+  EXPECT_EQ(popped, payloads.size());
+}
+
+TEST(WireFormTest, EveryValueTypeCrossesBitExact) {
+  const double nan = std::bit_cast<double>(uint64_t{0x7ff80000deadbeef});
+  ASSERT_TRUE(std::isnan(nan));
+  std::vector<Value> payloads = {
+      Value(),
+      Value(std::numeric_limits<int64_t>::min()),
+      Value(std::numeric_limits<int64_t>::max()),
+      Value(int64_t{0}),
+      Value(-0.0),
+      Value(nan),
+      Value(std::numeric_limits<double>::infinity()),
+      Value(true),
+      Value(false),
+      Value(std::string()),
+      Value("short"),
+      Value(std::string(300, 'L')),
+      Value(std::string("nul\0inside", 10)),
+      Value(ValueList{}),
+      Value::Tuple(int64_t{7}, ValueList{}, Value::Tuple(-0.0, nan, "x"),
+                   Value::Tuple(Value::Tuple(Value(), false))),
+  };
+  ExpectRecordsRoundTrip(payloads);
+}
+
+TEST(WireFormTest, PayloadsAtAndPastTheInlineSizeRoundTrip) {
+  // A string of n < 128 bytes encodes to n + 2 (type tag, varint length).
+  const size_t n = Channel::kInlineBytes - 2;
+  const Value at_size(std::string(n, 'a'));
+  const Value one_over(std::string(n + 1, 'b'));
+  ASSERT_EQ(SerializeToString(at_size).size(), Channel::kInlineBytes);
+  ASSERT_EQ(SerializeToString(one_over).size(), Channel::kInlineBytes + 1);
+  // Interleaved with inline records, so heap and inline slots alternate
+  // across the ring wrap.
+  ExpectRecordsRoundTrip({at_size, one_over, Value(int64_t{1}), one_over,
+                          at_size, Value(std::string(64 * 1024, 'c')),
+                          Value::Tuple(one_over, at_size), at_size});
+}
+
+TEST(WireFormTest, ControlElementsPassUnchanged) {
+  const std::vector<StreamElement> sent = {
+      StreamElement::Watermark(-5),
+      StreamElement::Watermark(std::numeric_limits<TimeMs>::max()),
+      StreamElement::Punctuation(42, 0, /*key_scoped=*/false),
+      StreamElement::Punctuation(43, 0xfeedfacecafebeefULL,
+                                 /*key_scoped=*/true),
+      StreamElement::Barrier(7, CheckpointMode::kAligned),
+      StreamElement::Barrier(~uint64_t{0}, CheckpointMode::kUnaligned),
+      StreamElement::LatencyMarker(123456789),
+      StreamElement::EndOfStream(),
+  };
+  Channel ch(sent.size());
+  for (const StreamElement& e : sent) ASSERT_TRUE(ch.Push(e));
+  for (const StreamElement& want : sent) {
+    auto got = ch.TryPop();
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(got->kind, want.kind);
+    EXPECT_EQ(got->time, want.time);
+    EXPECT_EQ(got->tag, want.tag);
+    EXPECT_EQ(got->key_scoped, want.key_scoped);
+    EXPECT_EQ(got->mode, want.mode);
+  }
   EXPECT_FALSE(ch.TryPop().has_value());
 }
 
@@ -420,20 +537,25 @@ TEST(RingChannelStressTest, MpmcBatchesNoLossNoDuplicationOrderPerProducer) {
 }
 
 TEST(RingChannelTest, QueuedElementsAreDestroyedWithTheChannel) {
-  // Records that own heap memory are still queued, some of them across the
-  // ring wrap, when the channel is destroyed: each must be destroyed exactly
-  // once. A leak shows in the main arena's in-use bytes here and in the
-  // leak-checked ASan run; a double destroy aborts either build.
+  // Records are still queued, some of them across the ring wrap, when the
+  // channel is destroyed. Their payloads alternate between over-inline
+  // ones, whose slots own a heap buffer, and inline ones: each heap buffer
+  // must be freed exactly once, and nothing else. A leak shows in the main
+  // arena's in-use bytes here and in the leak-checked ASan run; a double or
+  // stray free aborts either build.
+  auto record = [](int64_t i) {
+    return i % 2 == 0 ? HeapRecord(i) : StreamElement::OfRecord(i, Value(i));
+  };
   const size_t before = mallinfo2().uordblks;
   {
     Channel ch(8);
-    for (int64_t i = 0; i < 6; ++i) ASSERT_TRUE(ch.Push(HeapRecord(i)));
+    for (int64_t i = 0; i < 6; ++i) ASSERT_TRUE(ch.Push(record(i)));
     for (int64_t i = 0; i < 4; ++i) ASSERT_TRUE(ch.TryPop().has_value());
-    for (int64_t i = 6; i < 12; ++i) ASSERT_TRUE(ch.Push(HeapRecord(i)));
+    for (int64_t i = 6; i < 12; ++i) ASSERT_TRUE(ch.Push(record(i)));
     EXPECT_EQ(ch.Size(), 8u);  // slots 4..11: the queue wraps the ring
   }
   const size_t after = mallinfo2().uordblks;
-  // Eight records own about 70 KB; allow a little unrelated churn.
+  // Four queued records own about 33 KB; allow a little unrelated churn.
   EXPECT_LT(after, before + 16 * 1024) << "before " << before << " after "
                                        << after;
 }
@@ -449,8 +571,8 @@ size_t ResidentKb() {
 }
 
 TEST(RingChannelTest, UnwrittenSlotsAreNotResident) {
-  // A feedback edge's channel holds 2^20 slots, about 96 MB if all were
-  // written. Slots are raw storage constructed on push, so building one
+  // A feedback edge's channel holds 2^20 slots of 128 bytes, 128 MB if all
+  // were written. Slots are raw storage written on push, so building one
   // and passing a few records through must leave the rest untouched. The
   // bound leaves room for ASan's shadow of the reservation (1/8 of it).
   const size_t before = ResidentKb();
@@ -743,7 +865,7 @@ TEST(DataPlaneOrderingTest, KeyedCountMatchesExact) {
 
 TEST(DataPlaneOrderingTest, BroadcastDeliversEverywhere) {
   // Broadcast fan-out: every subtask must see every record with an intact
-  // payload (guards the move-into-last-target emit).
+  // payload (guards the emit that encodes one element for every target).
   ReplayableLog log;
   for (int i = 0; i < 100; ++i) log.Append(i, Value(int64_t{i}));
 
@@ -781,6 +903,58 @@ TEST(DataPlaneOrderingTest, BroadcastDeliversEverywhere) {
   ASSERT_EQ(per_subtask.size(), 3u);
   for (const auto& [subtask, values] : per_subtask) {
     EXPECT_EQ(values.size(), 100u) << "subtask " << subtask;
+  }
+}
+
+TEST(DataPlaneOrderingTest, BroadcastHeapPayloadArrivesWholeAtEveryTarget) {
+  // A broadcast pushes the same element to each of 3 targets. Its payload
+  // owns heap memory and encodes past a slot's inline bytes, so each target
+  // decodes its own copy from its own heap buffer; all 3 copies must equal
+  // the source's payload.
+  constexpr int kRecords = 20;
+  ReplayableLog log;
+  for (int i = 0; i < kRecords; ++i) {
+    log.Append(i, std::move(HeapRecord(i).record.payload));
+  }
+
+  Topology topo;
+  auto src = topo.AddSource("src", [&] {
+    return std::make_unique<LogSource>(&log);
+  });
+  auto op = topo.AddOperator("tag", [] {
+    ProcessOperator::Hooks hooks;
+    hooks.on_record = [](OperatorContext* ctx, Record& r, Collector* out) {
+      out->Emit(Record(r.event_time, r.key,
+                       Value::Tuple(static_cast<int64_t>(ctx->subtask_index()),
+                                    std::move(r.payload))));
+      return Status::OK();
+    };
+    return std::make_unique<ProcessOperator>(hooks);
+  }, 3);
+  ASSERT_TRUE(topo.Connect(src, op, Partitioning::kBroadcast).ok());
+  CollectingSink sink;
+  topo.Sink(op, "sink", sink.AsSinkFn());
+
+  JobConfig config;
+  JobRunner runner(topo, config);
+  ASSERT_TRUE(runner.Start().ok());
+  ASSERT_TRUE(runner.AwaitCompletion(10000).ok());
+  runner.Stop();
+
+  auto records = sink.Snapshot();
+  EXPECT_EQ(records.size(), 3u * kRecords);
+  std::map<int64_t, int> per_subtask;
+  for (const Record& r : records) {
+    const auto& l = r.payload.AsList();
+    ++per_subtask[l[0].AsInt()];
+    ASSERT_GE(r.event_time, 0);
+    ASSERT_LT(r.event_time, kRecords);
+    EXPECT_EQ(l[1], log.at(static_cast<size_t>(r.event_time)).payload)
+        << "subtask " << l[0].AsInt() << " record " << r.event_time;
+  }
+  ASSERT_EQ(per_subtask.size(), 3u);
+  for (const auto& [subtask, count] : per_subtask) {
+    EXPECT_EQ(count, kRecords) << "subtask " << subtask;
   }
 }
 
@@ -884,13 +1058,15 @@ TEST(DataPlaneOrderingTest, PeriodicBarriersRaceRecordsAndStayExact) {
   EXPECT_EQ(FinalCounts(sink.Snapshot()), ExactCounts(log));
 }
 
-/// Emits heap-owning records as fast as its output takes them; counts them.
+/// Emits records as fast as its output takes them and counts them. Every
+/// other one owns heap memory and encodes past a slot's inline bytes.
 class HeapRecordSource final : public Source {
  public:
   explicit HeapRecordSource(std::atomic<int64_t>* emitted)
       : emitted_(emitted) {}
   SourcePoll Next() override {
     const int64_t i = emitted_->fetch_add(1);
+    if (i % 2 == 1) return SourcePoll::Of(Record(i, Value(i)));
     return SourcePoll::Of(std::move(HeapRecord(i).record));
   }
 
@@ -900,10 +1076,11 @@ class HeapRecordSource final : public Source {
 
 TEST(DataPlaneOrderingTest, StopWithRecordsQueuedDestroysEachOnce) {
   // The sink holds its first record until the job is stopping, so the
-  // source fills the channel with heap-owning records and blocks. Stop
-  // closes the channel with them still queued; destroying the runner
-  // destroys each exactly once (the leak-checked ASan run sees a leak, and
-  // either build aborts on a double destroy).
+  // source fills the channel, across its ring wrap, with records that
+  // alternate between heap-owning and inline payloads, and blocks. Stop
+  // closes the channel with them still queued; destroying the runner frees
+  // each heap payload exactly once (the leak-checked ASan run sees a leak,
+  // and either build aborts on a double or stray free).
   constexpr size_t kCapacity = 16;
   std::atomic<int64_t> emitted{0};
   std::atomic<bool> release{false};
