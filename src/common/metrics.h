@@ -2,10 +2,10 @@
 
 /// \file metrics.h
 /// \brief Lightweight metrics used by operators, the elasticity controller,
-/// load shedders, and the benchmark harness: counters, gauges, meters
-/// (rates), and fixed-bucket latency histograms with quantile estimation.
+/// load shedders, and the benchmark harness: counters, gauges and
+/// fixed-bucket latency histograms with quantile estimation.
 ///
-/// Hot-path writes (Histogram::Record, Meter::Mark) are striped across
+/// Hot-path writes (Histogram::Record) are striped across
 /// per-thread shards so concurrent subtasks do not contend on one mutex;
 /// readers merge the shards on demand. The registry is the single namespace
 /// the EvoScope exporters (src/obs/) walk to render Prometheus/JSON views.
@@ -21,8 +21,6 @@
 #include <mutex>
 #include <string>
 #include <vector>
-
-#include "common/clock.h"
 
 namespace evo {
 
@@ -57,61 +55,6 @@ inline size_t ThisThreadShard(size_t num_shards) {
   return assigned % num_shards;
 }
 }  // namespace internal
-
-/// \brief Exponentially-weighted rate meter (events/second), the signal used
-/// by the DS2-style elasticity controller.
-///
-/// Mark() is a single relaxed fetch_add unless a ~100ms tick is due; only
-/// the thread that wins the tick takes the mutex to fold the pending count
-/// into the smoothed rate.
-class Meter {
- public:
-  explicit Meter(Clock* clock = SystemClock::Instance(),
-                 double alpha = 0.3)
-      : clock_(clock), alpha_(alpha), last_ms_(clock->NowMs()) {}
-
-  void Mark(uint64_t n = 1) {
-    pending_.fetch_add(n, std::memory_order_relaxed);
-    if (clock_->NowMs() - last_ms_.load(std::memory_order_relaxed) >=
-        kTickMs) {
-      Tick();
-    }
-  }
-
-  /// \brief Smoothed rate in events/second.
-  double RatePerSec() {
-    if (clock_->NowMs() - last_ms_.load(std::memory_order_relaxed) >=
-        kTickMs) {
-      Tick();
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    return rate_;
-  }
-
- private:
-  static constexpr int64_t kTickMs = 100;  // fold pending at most every 100ms
-
-  void Tick() {
-    std::lock_guard<std::mutex> lock(mu_);
-    TimeMs now = clock_->NowMs();
-    int64_t elapsed = now - last_ms_.load(std::memory_order_relaxed);
-    if (elapsed < kTickMs) return;  // another thread already ticked
-    uint64_t pending = pending_.exchange(0, std::memory_order_relaxed);
-    double instant =
-        static_cast<double>(pending) * 1000.0 / static_cast<double>(elapsed);
-    rate_ = initialized_ ? alpha_ * instant + (1 - alpha_) * rate_ : instant;
-    initialized_ = true;
-    last_ms_.store(now, std::memory_order_relaxed);
-  }
-
-  Clock* clock_;
-  double alpha_;
-  std::atomic<uint64_t> pending_{0};
-  std::atomic<TimeMs> last_ms_;
-  std::mutex mu_;  // guards rate_/initialized_ and tick folding
-  double rate_ = 0;
-  bool initialized_ = false;
-};
 
 /// \brief Reservoir-free histogram over log-spaced buckets; supports
 /// approximate quantiles good enough for latency reporting.
@@ -286,13 +229,6 @@ class MetricsRegistry {
     if (!slot) slot = std::make_unique<Histogram>();
     return slot.get();
   }
-  Meter* GetMeter(const std::string& name,
-                  Clock* clock = SystemClock::Instance()) {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto& slot = meters_[name];
-    if (!slot) slot = std::make_unique<Meter>(clock);
-    return slot.get();
-  }
 
   std::vector<std::string> CounterNames() const {
     std::lock_guard<std::mutex> lock(mu_);
@@ -321,18 +257,12 @@ class MetricsRegistry {
     std::lock_guard<std::mutex> lock(mu_);
     for (const auto& [name, m] : histograms_) fn(name, *m);
   }
-  void ForEachMeter(
-      const std::function<void(const std::string&, Meter&)>& fn) const {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [name, m] : meters_) fn(name, *m);
-  }
 
  private:
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
-  std::map<std::string, std::unique_ptr<Meter>> meters_;
 };
 
 }  // namespace evo

@@ -249,9 +249,9 @@ Status JobRunner::Start(const JobSnapshot* restore_from) {
 }
 
 Status JobRunner::StartIntrospection() {
-  obs::IntrospectionOptions opts;
-  opts.http.bind_address = config_.introspection_bind;
-  opts.http.port = static_cast<uint16_t>(config_.introspection_port);
+  obs::HttpServerOptions opts;
+  opts.bind_address = config_.introspection_bind;
+  opts.port = static_cast<uint16_t>(config_.introspection_port);
   introspection_ = std::make_unique<obs::IntrospectionServer>(opts);
   introspection_->AttachMetrics(&metrics_, [this] { PublishMetrics(); });
   introspection_->AttachTracer(&tracer_);

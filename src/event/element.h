@@ -8,7 +8,9 @@
 /// not carry only data: watermarks, punctuations, checkpoint barriers,
 /// latency markers and end-of-stream signals flow *in-band* between records,
 /// so control information is totally ordered with respect to the data it
-/// describes. This file defines that tagged element and its serialization.
+/// describes. This file defines that tagged element; a channel encodes it
+/// into its ring slots (dataflow/channel.h). A Record alone also serializes
+/// (Serde<Record>), for the state and transaction logs that hold records.
 
 #include <cstdint>
 #include <string>
@@ -133,61 +135,6 @@ struct StreamElement {
   bool is_watermark() const { return kind == ElementKind::kWatermark; }
   bool is_barrier() const { return kind == ElementKind::kCheckpointBarrier; }
   bool is_end() const { return kind == ElementKind::kEndOfStream; }
-
-  void EncodeTo(BinaryWriter* w) const {
-    w->WriteU8(static_cast<uint8_t>(kind));
-    switch (kind) {
-      case ElementKind::kRecord:
-        w->WriteI64(record.event_time);
-        w->WriteU64(record.key);
-        record.payload.EncodeTo(w);
-        break;
-      case ElementKind::kWatermark:
-      case ElementKind::kLatencyMarker:
-        w->WriteI64(time);
-        break;
-      case ElementKind::kPunctuation:
-        w->WriteI64(time);
-        w->WriteU64(tag);
-        w->WriteBool(key_scoped);
-        break;
-      case ElementKind::kCheckpointBarrier:
-        w->WriteU64(tag);
-        w->WriteU8(static_cast<uint8_t>(mode));
-        break;
-      case ElementKind::kEndOfStream:
-        break;
-    }
-  }
-
-  static Status DecodeFrom(BinaryReader* r, StreamElement* out) {
-    uint8_t kind = 0;
-    EVO_RETURN_IF_ERROR(r->ReadU8(&kind));
-    out->kind = static_cast<ElementKind>(kind);
-    switch (out->kind) {
-      case ElementKind::kRecord:
-        EVO_RETURN_IF_ERROR(r->ReadI64(&out->record.event_time));
-        EVO_RETURN_IF_ERROR(r->ReadU64(&out->record.key));
-        return Value::DecodeFrom(r, &out->record.payload);
-      case ElementKind::kWatermark:
-      case ElementKind::kLatencyMarker:
-        return r->ReadI64(&out->time);
-      case ElementKind::kPunctuation:
-        EVO_RETURN_IF_ERROR(r->ReadI64(&out->time));
-        EVO_RETURN_IF_ERROR(r->ReadU64(&out->tag));
-        return r->ReadBool(&out->key_scoped);
-      case ElementKind::kCheckpointBarrier: {
-        EVO_RETURN_IF_ERROR(r->ReadU64(&out->tag));
-        uint8_t m = 0;
-        EVO_RETURN_IF_ERROR(r->ReadU8(&m));
-        out->mode = static_cast<CheckpointMode>(m);
-        return Status::OK();
-      }
-      case ElementKind::kEndOfStream:
-        return Status::OK();
-    }
-    return Status::DataLoss("StreamElement: unknown kind");
-  }
 };
 
 template <>
@@ -201,14 +148,6 @@ struct Serde<Record> {
     EVO_RETURN_IF_ERROR(r->ReadI64(&out->event_time));
     EVO_RETURN_IF_ERROR(r->ReadU64(&out->key));
     return Value::DecodeFrom(r, &out->payload);
-  }
-};
-
-template <>
-struct Serde<StreamElement> {
-  static void Encode(const StreamElement& e, BinaryWriter* w) { e.EncodeTo(w); }
-  static Status Decode(BinaryReader* r, StreamElement* out) {
-    return StreamElement::DecodeFrom(r, out);
   }
 };
 

@@ -119,13 +119,6 @@ std::string ToPrometheusText(const MetricsRegistry& registry) {
            FormatValue(g.Value()) + "\n";
   });
   last_base.clear();
-  registry.ForEachMeter([&](const std::string& name, Meter& m) {
-    SplitName(name, &base, &labelbody);
-    AppendTypeOnce(&out, base, "gauge", &last_base);
-    out += SeriesName(base, "", labelbody, "") + " " +
-           FormatValue(m.RatePerSec()) + "\n";
-  });
-  last_base.clear();
   registry.ForEachHistogram([&](const std::string& name, const Histogram& h) {
     SplitName(name, &base, &labelbody);
     Histogram::Snapshot s = h.TakeSnapshot();
@@ -217,15 +210,6 @@ std::string ToJson(const MetricsRegistry& registry) {
     out += first ? "\n" : ",\n";
     first = false;
     out += "    \"" + JsonEscape(name) + "\": " + JsonNumber(g.Value());
-  });
-  out += first ? "},\n" : "\n  },\n";
-
-  out += "  \"meters\": {";
-  first = true;
-  registry.ForEachMeter([&](const std::string& name, Meter& m) {
-    out += first ? "\n" : ",\n";
-    first = false;
-    out += "    \"" + JsonEscape(name) + "\": " + JsonNumber(m.RatePerSec());
   });
   out += first ? "},\n" : "\n  },\n";
 

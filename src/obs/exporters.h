@@ -34,7 +34,7 @@ std::string TaskMetricName(const std::string& base, const std::string& vertex,
 std::string ToPrometheusText(const MetricsRegistry& registry);
 
 /// \brief Renders the whole registry as a JSON object:
-/// {"counters":{...},"gauges":{...},"meters":{...},"histograms":{name:
+/// {"counters":{...},"gauges":{...},"histograms":{name:
 /// {count,sum,min,max,mean,p50,p90,p99}}}.
 std::string ToJson(const MetricsRegistry& registry);
 

@@ -102,9 +102,7 @@ HttpResponse HttpResponse::Error(int status, const std::string& message) {
                       "{\"error\": \"" + JsonEscape(message) + "\"}\n"};
 }
 
-HttpServer::HttpServer(Options options) : options_(std::move(options)) {
-  options_.worker_threads = std::max<size_t>(options_.worker_threads, 1);
-}
+HttpServer::HttpServer(Options options) : options_(std::move(options)) {}
 
 HttpServer::~HttpServer() { Stop(); }
 
@@ -160,7 +158,7 @@ Status HttpServer::Start() {
 
   running_.store(true, std::memory_order_release);
   accept_thread_ = std::thread([this] { AcceptLoop(); });
-  for (size_t i = 0; i < options_.worker_threads; ++i) {
+  for (size_t i = 0; i < kWorkerThreads; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
   return Status::OK();
@@ -195,7 +193,7 @@ void HttpServer::AcceptLoop() {
     bool rejected = false;
     {
       std::lock_guard<std::mutex> lock(queue_mu_);
-      if (pending_.size() >= options_.max_pending_connections) {
+      if (pending_.size() >= kMaxPendingConnections) {
         rejected = true;
       } else {
         pending_.push_back(fd);
@@ -237,7 +235,7 @@ void HttpServer::ServeConnection(int fd) {
   std::string raw;
   char buf[2048];
   bool complete = false;
-  while (raw.size() < options_.max_request_bytes) {
+  while (raw.size() < kMaxRequestBytes) {
     ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
@@ -252,7 +250,7 @@ void HttpServer::ServeConnection(int fd) {
   }
   if (!complete) {
     requests_rejected_.fetch_add(1, std::memory_order_relaxed);
-    int status = raw.size() >= options_.max_request_bytes ? 413 : 408;
+    int status = raw.size() >= kMaxRequestBytes ? 413 : 408;
     WriteResponse(fd, HttpResponse::Error(status, "incomplete request"), false);
     return;
   }

@@ -66,12 +66,8 @@ struct HttpServerOptions {
   std::string bind_address = "127.0.0.1";
   /// 0 binds an ephemeral port; read the result via port().
   uint16_t port = 0;
-  size_t worker_threads = 2;
   /// Per-socket read/write timeout (slow-client guard).
   int64_t io_timeout_ms = 5000;
-  size_t max_request_bytes = 16 * 1024;
-  /// Accepted-but-unserved connections beyond this are answered 503.
-  size_t max_pending_connections = 64;
 };
 
 /// \brief Blocking HTTP server with exact- and prefix-routed handlers.
@@ -79,6 +75,13 @@ class HttpServer {
  public:
   using Handler = std::function<HttpResponse(const HttpRequest&)>;
   using Options = HttpServerOptions;
+
+  /// Handler threads.
+  static constexpr size_t kWorkerThreads = 2;
+  /// A request whose headers do not end within this many bytes gets 413.
+  static constexpr size_t kMaxRequestBytes = 16 * 1024;
+  /// Accepted-but-unserved connections beyond this are answered 503.
+  static constexpr size_t kMaxPendingConnections = 64;
 
   explicit HttpServer(Options options = {});
   ~HttpServer();

@@ -36,8 +36,8 @@ HttpResponse StatusToHttp(const Status& st) {
 
 }  // namespace
 
-IntrospectionServer::IntrospectionServer(Options options)
-    : options_(std::move(options)), http_(options_.http) {
+IntrospectionServer::IntrospectionServer(HttpServerOptions options)
+    : http_(std::move(options)) {
   RegisterRoutes();
 }
 
@@ -195,7 +195,7 @@ HttpResponse IntrospectionServer::ServeState(const HttpRequest& request) const {
   }
 
   // Scan: all keys (or one key=) filtered by user_key prefix, bounded.
-  uint64_t limit = options_.default_scan_limit;
+  uint64_t limit = kDefaultScanLimit;
   if (request.HasParam("limit") && !ParseU64(request.Param("limit"), &limit)) {
     return HttpResponse::Error(400, "bad limit=");
   }

@@ -36,18 +36,12 @@
 
 namespace evo::obs {
 
-/// \brief Configuration for IntrospectionServer.
-struct IntrospectionOptions {
-  HttpServerOptions http;
-  /// Cap on entries returned by a /state scan without an explicit limit.
-  size_t default_scan_limit = 1000;
-};
-
 class IntrospectionServer {
  public:
-  using Options = IntrospectionOptions;
+  /// Cap on entries returned by a /state scan without an explicit limit.
+  static constexpr uint64_t kDefaultScanLimit = 1000;
 
-  explicit IntrospectionServer(Options options = {});
+  explicit IntrospectionServer(HttpServerOptions options = {});
   ~IntrospectionServer();
 
   IntrospectionServer(const IntrospectionServer&) = delete;
@@ -77,7 +71,6 @@ class IntrospectionServer {
   void RegisterRoutes();
   HttpResponse ServeState(const HttpRequest& request) const;
 
-  Options options_;
   HttpServer http_;
 
   MetricsRegistry* metrics_ = nullptr;

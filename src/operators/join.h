@@ -8,15 +8,15 @@
 /// Both are two-input keyed operators: connect both upstream keyed streams
 /// to the same vertex with Partitioning::kHash so matching keys co-locate.
 
+#include <algorithm>
 #include <cstdlib>
+#include <functional>
+#include <limits>
 #include <memory>
-#include <string>
-#include <vector>
 
 #include "common/clock.h"
 #include "dataflow/operator.h"
 #include "operators/slice_store.h"
-#include "state/state_api.h"
 
 namespace evo::op {
 
@@ -82,8 +82,10 @@ class WindowJoinOperator final : public dataflow::Operator {
 };
 
 /// \brief Interval join: for each left record at time t, emit pairs with
-/// right records in [t + lower, t + upper]. Both sides buffer; cleanup
-/// timers evict expired entries (bounded state despite unbounded streams).
+/// right records in [t + lower, t + upper]. Each side stores its records once,
+/// per key, in a SliceStore whose slice is the event time; cleanup timers
+/// evict expired slices (bounded state despite unbounded streams). Records
+/// with no event time or a negative one go to the "late" side output.
 class IntervalJoinOperator final : public dataflow::Operator {
  public:
   IntervalJoinOperator(int64_t lower_ms, int64_t upper_ms, JoinFunction join_fn)
@@ -91,10 +93,8 @@ class IntervalJoinOperator final : public dataflow::Operator {
 
   Status Open(dataflow::OperatorContext* ctx) override {
     EVO_RETURN_IF_ERROR(Operator::Open(ctx));
-    left_ = std::make_unique<state::MapState<std::string, std::string>>(
-        ctx->state(), "ijoin.left");
-    right_ = std::make_unique<state::MapState<std::string, std::string>>(
-        ctx->state(), "ijoin.right");
+    sides_[0] = std::make_unique<SliceStore>(ctx->state(), "ijoin.left");
+    sides_[1] = std::make_unique<SliceStore>(ctx->state(), "ijoin.right");
     return Status::OK();
   }
 
@@ -104,66 +104,49 @@ class IntervalJoinOperator final : public dataflow::Operator {
 
   Status ProcessRecordFrom(size_t input, Record& record,
                            dataflow::Collector* out) override {
-    auto* mine = input == 0 ? left_.get() : right_.get();
-    auto* theirs = input == 0 ? right_.get() : left_.get();
-
-    // Buffer under (ts, n), n = this side's records already buffered for the
-    // key at ts. Read from keyed state, so unique across restore and rescale.
-    std::string ts_key;
-    for (uint64_t seq = 0;; ++seq) {
-      ts_key = TsKey(record.event_time, seq);
-      EVO_ASSIGN_OR_RETURN(auto taken, mine->Get(ts_key));
-      if (!taken.has_value()) break;
+    if (input > 1) return Status::InvalidArgument("join has two inputs");
+    const TimeMs t = record.event_time;
+    if (t < 0) {
+      out->EmitSide("late", record);
+      return Status::OK();
     }
-    EVO_RETURN_IF_ERROR(mine->Put(ts_key, SerializeToString(record.payload)));
+    EVO_RETURN_IF_ERROR(
+        sides_[input]->Append(static_cast<uint64_t>(t), record.payload)
+            .status());
 
     // Match against the other side within the interval. For a left record at
     // t the window is [t+lower, t+upper]; for a right record at t it is the
-    // mirrored [t-upper, t-lower].
-    TimeMs lo = input == 0 ? record.event_time + lower_
-                           : record.event_time - upper_;
-    TimeMs hi = input == 0 ? record.event_time + upper_
-                           : record.event_time - lower_;
-    Status inner = Status::OK();
-    EVO_RETURN_IF_ERROR(theirs->ForEach(
-        [&](const std::string& other_key, const std::string& other_blob) {
-          if (!inner.ok()) return;
-          TimeMs other_ts =
-              static_cast<TimeMs>(state::StateKey::ReadU64BE(other_key));
-          if (other_ts < lo || other_ts > hi) return;
-          auto other = DeserializeFromString<Value>(other_blob);
-          if (!other.ok()) {
-            inner = other.status();
-            return;
-          }
-          TimeMs out_ts = std::max(record.event_time, other_ts);
-          Value joined = input == 0 ? join_fn_(record.payload, other.value())
-                                    : join_fn_(other.value(), record.payload);
-          out->Emit(Record(out_ts, record.key, std::move(joined)));
-        }));
-    EVO_RETURN_IF_ERROR(inner);
+    // mirrored [t-upper, t-lower]. No stored time is below 0.
+    const TimeMs lo = std::max<TimeMs>(
+        0, input == 0 ? Offset(t, lower_) : Offset(t, -upper_));
+    const TimeMs hi = input == 0 ? Offset(t, upper_) : Offset(t, -lower_);
+    if (hi >= lo) {
+      EVO_RETURN_IF_ERROR(sides_[1 - input]->ForEach(
+          static_cast<uint64_t>(lo), static_cast<uint64_t>(hi) + 1,
+          [&](uint64_t other_ts, Value&& other) {
+            Value joined = input == 0 ? join_fn_(record.payload, other)
+                                      : join_fn_(other, record.payload);
+            out->Emit(Record(std::max(t, static_cast<TimeMs>(other_ts)),
+                             record.key, std::move(joined)));
+          }));
+    }
 
     // Schedule eviction once no future record could match it: a buffered
-    // record at time t is dead when the watermark passes t + max(|lower|,
-    // |upper|).
-    int64_t horizon = std::max(std::abs(lower_), std::abs(upper_));
-    ctx_->timers()->event_timers().Register(record.event_time + horizon,
-                                            record.key, kCleanupTag);
+    // record at time t is dead when the watermark passes t + horizon.
+    ctx_->timers()->event_timers().Register(Offset(t, Horizon()), record.key,
+                                            kCleanupTag);
     return Status::OK();
   }
 
   Status OnTimer(const time::Timer& timer, dataflow::Collector*) override {
     if (timer.tag != kCleanupTag) return Status::OK();
-    int64_t horizon = std::max(std::abs(lower_), std::abs(upper_));
-    TimeMs cutoff = timer.when - horizon;
-    for (auto* side : {left_.get(), right_.get()}) {
-      std::vector<std::string> dead;
-      EVO_RETURN_IF_ERROR(side->ForEach(
-          [&](const std::string& ts_key, const std::string&) {
-            auto ts = static_cast<TimeMs>(state::StateKey::ReadU64BE(ts_key));
-            if (ts <= cutoff) dead.push_back(ts_key);
-          }));
-      for (const std::string& k : dead) EVO_RETURN_IF_ERROR(side->Remove(k));
+    const TimeMs cutoff = timer.when - Horizon();
+    for (const auto& side : sides_) {
+      EVO_ASSIGN_OR_RETURN(auto slices, side->Slices());
+      for (const auto& [slice, meta] : slices) {
+        if (static_cast<TimeMs>(slice) > cutoff) break;  // slice order
+        EVO_RETURN_IF_ERROR(side->Remove(slice, meta.count));
+      }
     }
     return Status::OK();
   }
@@ -171,17 +154,22 @@ class IntervalJoinOperator final : public dataflow::Operator {
  private:
   static constexpr uint64_t kCleanupTag = 0xC1EA;
 
-  static std::string TsKey(TimeMs ts, uint64_t seq) {
-    std::string k;
-    state::StateKey::AppendU64BE(&k, static_cast<uint64_t>(ts));
-    state::StateKey::AppendU64BE(&k, seq);
-    return k;
+  int64_t Horizon() const {
+    return std::max(std::abs(lower_), std::abs(upper_));
+  }
+
+  /// t + d held inside the TimeMs range: event times come from outside, and
+  /// one near the end of time would overflow.
+  static TimeMs Offset(TimeMs t, int64_t d) {
+    TimeMs out = 0;
+    if (!__builtin_add_overflow(t, d, &out)) return out;
+    return d > 0 ? std::numeric_limits<TimeMs>::max()
+                 : std::numeric_limits<TimeMs>::min();
   }
 
   int64_t lower_, upper_;
   JoinFunction join_fn_;
-  std::unique_ptr<state::MapState<std::string, std::string>> left_;
-  std::unique_ptr<state::MapState<std::string, std::string>> right_;
+  std::unique_ptr<SliceStore> sides_[2];
 };
 
 }  // namespace evo::op

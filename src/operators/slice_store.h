@@ -4,8 +4,8 @@
 /// \brief Append-only keyed storage for windowed operators: each record is
 /// stored once, in its slice, and never rewritten ("No pane, no gain",
 /// Li et al.). A slice is a run of event time that windows are built from:
-/// a pane of gcd(size, slide) for fixed windows, a whole session, or a
-/// window of a windowed join.
+/// a pane of gcd(size, slide) for fixed windows, a whole session, a window
+/// of a windowed join, or one event time of an interval join.
 ///
 /// Layout, per key of the state context:
 ///   - `<name>.slices`: user key (slice BE, seq BE) -> encoded payload, one
@@ -16,6 +16,7 @@
 /// seq) order, i.e. slice order, then arrival order.
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -94,10 +95,12 @@ class SliceStore {
     return out;
   }
 
-  /// \brief Payloads of the slices in [from, to): slice order, then arrival
-  /// order. One IterateKey over the key's entries.
-  Result<std::vector<Value>> Read(uint64_t from, uint64_t to) const {
-    std::vector<Value> out;
+  /// \brief Visits the payloads of the slices in [from, to) with their
+  /// slice: slice order, then arrival order. One IterateKey over the key's
+  /// entries.
+  Status ForEach(uint64_t from, uint64_t to,
+                 const std::function<void(uint64_t slice, Value&& payload)>&
+                     fn) const {
     Status inner = Status::OK();
     EVO_RETURN_IF_ERROR(backend()->IterateKey(
         slices_ns_, key(), [&](std::string_view uk, std::string_view value) {
@@ -106,9 +109,16 @@ class SliceStore {
           BinaryReader r(value);
           Value v;
           inner = Value::DecodeFrom(&r, &v);
-          out.push_back(std::move(v));
+          if (inner.ok()) fn(slice, std::move(v));
         }));
-    EVO_RETURN_IF_ERROR(inner);
+    return inner;
+  }
+
+  /// \brief Payloads of the slices in [from, to), in ForEach's order.
+  Result<std::vector<Value>> Read(uint64_t from, uint64_t to) const {
+    std::vector<Value> out;
+    EVO_RETURN_IF_ERROR(ForEach(
+        from, to, [&](uint64_t, Value&& v) { out.push_back(std::move(v)); }));
     return out;
   }
 

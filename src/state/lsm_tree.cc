@@ -12,6 +12,12 @@ namespace evo::state {
 
 namespace {
 
+/// The level shape: levels 0..kMaxLevel; L1 targets kLevelBaseBytes and each
+/// deeper level kLevelSizeMultiplier times more.
+constexpr int kMaxLevel = 3;
+constexpr uint64_t kLevelBaseBytes = 4ull << 20;
+constexpr uint64_t kLevelSizeMultiplier = 10;
+
 /// WAL record: op byte | key | value, encoded into `w` (cleared first).
 void EncodeWalRecord(const Entry& e, BinaryWriter* w) {
   w->Clear();
@@ -59,6 +65,27 @@ Status MergeRuns(const std::vector<std::unique_ptr<EntryCursor>>& runs,
   return Status::OK();
 }
 
+/// The one visible-version filter of every read at a sequence: streams the
+/// merge of `runs` and hands `take` each key's newest version at or below
+/// `pin`, tombstones included (a caller counting keys counts them too);
+/// `fn` then gets the live ones. `take(e)` returns false to stop before `e`,
+/// which stays under its cursor. `*last_key` is the key taken last; it owns
+/// its bytes, so a read can resume past it after its runs are rebuilt.
+template <typename Take>
+Status MergeVisible(
+    const std::vector<std::unique_ptr<EntryCursor>>& runs, uint64_t pin,
+    std::optional<std::string>* last_key, Take&& take,
+    const std::function<void(std::string_view, std::string_view)>& fn) {
+  return MergeRuns(runs, [&](const Entry& e) {
+    if (e.seq > pin) return true;                        // after the pin
+    if (*last_key == e.key) return true;                 // an older version
+    if (!take(e)) return false;
+    *last_key = e.key;
+    if (e.op == EntryOp::kPut) fn(e.key, e.value);
+    return true;
+  });
+}
+
 /// The smallest key above every key that starts with `prefix`: drop trailing
 /// 0xff bytes, then increment the last byte. Empty means unbounded.
 std::string PrefixSuccessor(std::string_view prefix) {
@@ -71,7 +98,7 @@ std::string PrefixSuccessor(std::string_view prefix) {
 }  // namespace
 
 LsmTree::LsmTree(const LsmOptions& options) : options_(options) {
-  levels_.resize(static_cast<size_t>(options.max_level) + 1);
+  levels_.resize(kMaxLevel + 1);
 }
 
 LsmTree::~LsmTree() {
@@ -217,18 +244,26 @@ Status LsmTree::Ingest(
   EVO_RETURN_IF_ERROR(FlushLocked());
 
   const uint64_t id = next_file_id_++;
-  auto written = WriteIngestFileLocked(id, seq_ + 1, expected_keys, produce);
+  auto written = [&]() -> Result<std::optional<FileMeta>> {
+    EVO_ASSIGN_OR_RETURN(
+        auto meta,
+        WriteSstLocked(id, 0, expected_keys, 0, [&](SSTableBuilder* builder) {
+          return produce([&](std::string_view key, std::string_view value) {
+            return builder->Add(Entry{key, seq_ + 1, EntryOp::kPut, value});
+          });
+        }));
+    if (meta) EVO_FAULT_RETURN_IF_SET("lsm.ingest.install");
+    return meta;
+  }();
   if (!written.ok()) {
     (void)options_.env->DeleteFile(SstPath(id));
     return written.status();
   }
-  if (*written == nullptr) return Status::OK();  // nothing to ingest
+  if (!*written) return Status::OK();  // nothing to ingest
 
   // Deepest level whose files, and all files above it, miss the new range:
   // every version the file could shadow then lies below it.
-  FileMeta meta;
-  meta.id = id;
-  meta.reader = std::move(*written);
+  FileMeta meta = std::move(**written);
   const std::string_view lo = meta.reader->smallest_key();
   const std::string_view hi = meta.reader->largest_key();
   int level = -1;
@@ -256,28 +291,25 @@ Status LsmTree::Ingest(
   return MaybeCompactLocked();
 }
 
-Result<std::unique_ptr<SSTableReader>> LsmTree::WriteIngestFileLocked(
-    uint64_t id, uint64_t seq, size_t expected_keys,
-    const std::function<Status(const IngestPut& put)>& produce) {
+Result<std::optional<LsmTree::FileMeta>> LsmTree::WriteSstLocked(
+    uint64_t id, int level, size_t expected_keys, size_t expected_bytes,
+    const std::function<Status(SSTableBuilder* builder)>& fill) {
   {  // the builder's buffer is freed before the reader loads the file
-    SSTableBuilder builder(options_.env, SstPath(id), expected_keys);
-    EVO_RETURN_IF_ERROR(produce([&](std::string_view key, std::string_view value) {
-      return builder.Add(Entry{key, seq, EntryOp::kPut, value});
-    }));
-    if (builder.entry_count() == 0) return std::unique_ptr<SSTableReader>();
+    SSTableBuilder builder(options_.env, SstPath(id), expected_keys,
+                           expected_bytes);
+    EVO_RETURN_IF_ERROR(fill(&builder));
+    if (builder.entry_count() == 0) return std::optional<FileMeta>();
     EVO_RETURN_IF_ERROR(builder.Finish());
   }
-  EVO_ASSIGN_OR_RETURN(auto reader, SSTableReader::Open(options_.env, SstPath(id)));
-  EVO_FAULT_RETURN_IF_SET("lsm.ingest.install");
-  return reader;
+  FileMeta meta;
+  meta.id = id;
+  meta.level = level;
+  EVO_ASSIGN_OR_RETURN(meta.reader,
+                       SSTableReader::Open(options_.env, SstPath(id)));
+  return std::optional<FileMeta>(std::move(meta));
 }
 
 Result<std::optional<std::string>> LsmTree::Get(std::string_view key) {
-  return GetAtSnapshot(key, UINT64_MAX);
-}
-
-Result<std::optional<std::string>> LsmTree::GetAtSnapshot(
-    std::string_view key, uint64_t snapshot_seq) {
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.gets;
 
@@ -285,7 +317,7 @@ Result<std::optional<std::string>> LsmTree::GetAtSnapshot(
   // are appended in flush order), then the deeper levels, whose files are
   // disjoint so at most one per level can hold the key. The entry found views
   // its run, so its value is copied out before the lock is released.
-  std::optional<Entry> found = mem_.Get(key, snapshot_seq);
+  std::optional<Entry> found = mem_.Get(key);
   const uint64_t hash = found ? 0 : HashString(key);
   for (size_t level = 0; !found && level < levels_.size(); ++level) {
     const std::vector<FileMeta>& files = levels_[level];
@@ -294,7 +326,7 @@ Result<std::optional<std::string>> LsmTree::GetAtSnapshot(
       if (key < reader.smallest_key() || key > reader.largest_key()) continue;
       if (reader.MayContainHash(hash)) {
         ++stats_.sst_reads;
-        EVO_ASSIGN_OR_RETURN(found, reader.Get(key, snapshot_seq));
+        EVO_ASSIGN_OR_RETURN(found, reader.Get(key));
       } else {
         ++stats_.bloom_skips;
       }
@@ -319,50 +351,34 @@ std::vector<std::unique_ptr<EntryCursor>> LsmTree::OpenRunsLocked(
   return runs;
 }
 
-template <typename Fn>
-Status LsmTree::MergeLocked(bool with_mem, const std::vector<FileMeta>& files,
-                            std::string_view lo, Fn&& fn) {
-  return MergeRuns(OpenRunsLocked(with_mem, files, lo), std::forward<Fn>(fn));
-}
-
 Status LsmTree::ScanPrefix(
-    std::string_view prefix, uint64_t snapshot_seq,
+    std::string_view prefix,
     const std::function<void(std::string_view, std::string_view)>& fn) {
-  return ScanRange(prefix, PrefixSuccessor(prefix), snapshot_seq, fn);
-}
-
-Status LsmTree::ScanRange(
-    std::string_view lo, std::string_view hi, uint64_t snapshot_seq,
-    const std::function<void(std::string_view, std::string_view)>& fn) {
+  const std::string hi = PrefixSuccessor(prefix);  // empty: unbounded
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<FileMeta> files;
   for (const auto& level : levels_) {
     for (const FileMeta& f : level) {
-      if (f.reader->largest_key() < lo ||
+      if (f.reader->largest_key() < prefix ||
           (!hi.empty() && f.reader->smallest_key() >= hi)) {
         continue;
       }
       files.push_back(f);
     }
   }
-  std::string_view last_key;  // the key whose visible version was taken
-  bool have_last = false;
-  return MergeLocked(/*with_mem=*/true, files, lo, [&](const Entry& e) {
-    if (!hi.empty() && e.key >= hi) return false;
-    if (e.seq > snapshot_seq) return true;
-    if (have_last && e.key == last_key) return true;  // older version
-    last_key = e.key;
-    have_last = true;
-    if (e.op == EntryOp::kPut) fn(e.key, e.value);
-    return true;
-  });
+  std::optional<std::string> last_key;
+  return MergeVisible(
+      OpenRunsLocked(/*with_mem=*/true, files, prefix), seq_, &last_key,
+      [&](const Entry& e) { return hi.empty() || e.key < hi; }, fn);
 }
 
 LsmTree::PinnedScan::PinnedScan(LsmTree* tree)
-    : tree_(tree), seq_(tree->GetSnapshot()) {}
+    : tree_(tree), seq_(tree->Pin()) {}
 
 LsmTree::PinnedScan::~PinnedScan() {
-  if (!done_) tree_->ReleaseSnapshot(seq_);
+  if (done_) return;
+  std::lock_guard<std::mutex> lock(tree_->mu_);
+  tree_->UnpinLocked(seq_);
 }
 
 Result<bool> LsmTree::PinnedScan::Step(
@@ -380,45 +396,41 @@ Result<bool> LsmTree::PinnedScan::Step(
       files_.insert(files_.end(), level.begin(), level.end());
     }
     std::string lo;
-    if (have_last_) lo = last_key_ + '\0';  // the least key above it
+    if (last_key_) lo = *last_key_ + '\0';  // the least key above it
     runs_ = tree_->OpenRunsLocked(/*with_mem=*/true, files_, lo);
     mem_generation_ = tree_->mem_generation_;
     open_ = true;
   }
   size_t taken = 0;
   bool stopped = false;
-  EVO_RETURN_IF_ERROR(MergeRuns(runs_, [&](const Entry& e) {
-    if (e.seq > seq_) return true;                       // after the pin
-    if (have_last_ && e.key == last_key_) return true;   // older version
-    if (taken == max_keys) {
-      stopped = true;  // left under its cursor for the next step
-      return false;
-    }
-    ++taken;
-    last_key_ = e.key;
-    have_last_ = true;
-    if (e.op == EntryOp::kPut) fn(e.key, e.value);
-    return true;
-  }));
+  EVO_RETURN_IF_ERROR(MergeVisible(
+      runs_, seq_, &last_key_,
+      [&](const Entry&) {
+        if (taken == max_keys) {
+          stopped = true;  // left under its cursor for the next step
+          return false;
+        }
+        ++taken;
+        return true;
+      },
+      fn));
   if (!stopped) {  // complete: release the pin and the files at once
     done_ = true;
-    tree_->live_snapshots_.erase(tree_->live_snapshots_.find(seq_));
+    tree_->UnpinLocked(seq_);
     runs_.clear();
     files_.clear();
   }
   return done_;
 }
 
-uint64_t LsmTree::GetSnapshot() {
+uint64_t LsmTree::Pin() {
   std::lock_guard<std::mutex> lock(mu_);
   live_snapshots_.insert(seq_);
   return seq_;
 }
 
-void LsmTree::ReleaseSnapshot(uint64_t seq) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = live_snapshots_.find(seq);
-  if (it != live_snapshots_.end()) live_snapshots_.erase(it);
+void LsmTree::UnpinLocked(uint64_t seq) {
+  live_snapshots_.erase(live_snapshots_.find(seq));
 }
 
 uint64_t LsmTree::LatestSequence() const {
@@ -439,24 +451,18 @@ Status LsmTree::Flush() {
 Status LsmTree::FlushLocked() {
   if (mem_.Empty()) return Status::OK();
 
-  uint64_t id = next_file_id_++;
-  {  // the builder's buffer is freed before the reader loads the file
-    // key + value + 32 per entry bounds the file's bytes per entry.
-    SSTableBuilder builder(options_.env, SstPath(id), mem_.EntryCount(),
-                           mem_.ApproximateBytes());
-    for (auto c = mem_.Seek(""); c.Current() != nullptr; c.Next()) {
-      EVO_RETURN_IF_ERROR(builder.Add(*c.Current()));
-    }
-    EVO_RETURN_IF_ERROR(builder.Finish());
-  }
-
-  EVO_ASSIGN_OR_RETURN(auto reader,
-                       SSTableReader::Open(options_.env, SstPath(id)));
-  FileMeta meta;
-  meta.id = id;
-  meta.level = 0;
-  meta.reader = std::move(reader);
-  levels_[0].push_back(std::move(meta));
+  // key + value + 32 per entry bounds the file's bytes per entry.
+  EVO_ASSIGN_OR_RETURN(
+      auto meta,
+      WriteSstLocked(next_file_id_++, 0, mem_.EntryCount(),
+                     mem_.ApproximateBytes(), [&](SSTableBuilder* builder) {
+                       for (auto c = mem_.Seek(""); c.Current() != nullptr;
+                            c.Next()) {
+                         EVO_RETURN_IF_ERROR(builder->Add(*c.Current()));
+                       }
+                       return Status::OK();
+                     }));
+  levels_[0].push_back(std::move(*meta));
 
   // Reset memtable and start a fresh WAL segment.
   mem_ = MemTable();
@@ -486,7 +492,7 @@ Status LsmTree::MaybeCompactLocked() {
       progressed = true;
       continue;
     }
-    uint64_t target = options_.level_base_bytes;
+    uint64_t target = kLevelBaseBytes;
     for (size_t level = 1; level + 1 < levels_.size(); ++level) {
       uint64_t bytes = 0;
       for (const FileMeta& f : levels_[level]) {
@@ -497,7 +503,7 @@ Status LsmTree::MaybeCompactLocked() {
         progressed = true;
         break;
       }
-      target *= static_cast<uint64_t>(options_.level_size_multiplier);
+      target *= kLevelSizeMultiplier;
     }
   }
   return Status::OK();
@@ -542,42 +548,35 @@ Status LsmTree::CompactLevelLocked(int level) {
     input_entries += f.reader->entry_count();
     input_bytes += f.reader->file_bytes();
   }
-  const uint64_t id = next_file_id_;
-  bool wrote = false;
-  {  // the builder's buffer is freed before the reader loads the file
-    SSTableBuilder builder(options_.env, SstPath(id), input_entries, input_bytes);
-    std::string_view prev_key;  // views an input, held for the whole merge
-    uint64_t prev_seq = 0;
-    bool have_prev = false;
-    Status added;
-    auto add = [&](const Entry& e) {
-      const bool newest_for_key = !have_prev || e.key != prev_key;
-      const bool drop =
-          newest_for_key ? bottom && e.op == EntryOp::kDelete && e.seq <= horizon
-                         : prev_seq <= horizon;
-      if (newest_for_key) prev_key = e.key;
-      prev_seq = e.seq;
-      have_prev = true;
-      if (!drop) added = builder.Add(e);
-      return added.ok();
-    };
-    EVO_RETURN_IF_ERROR(MergeLocked(/*with_mem=*/false, inputs, "", add));
-    EVO_RETURN_IF_ERROR(added);
-    if (builder.entry_count() > 0) {
-      ++next_file_id_;
-      EVO_RETURN_IF_ERROR(builder.Finish());
-      wrote = true;
-    }
-  }
-
-  if (wrote) {
-    EVO_ASSIGN_OR_RETURN(auto reader,
-                         SSTableReader::Open(options_.env, SstPath(id)));
-    FileMeta meta;
-    meta.id = id;
-    meta.level = out_level;
-    meta.reader = std::move(reader);
-    out_keep.push_back(std::move(meta));
+  std::string_view prev_key;  // views an input, held for the whole merge
+  uint64_t prev_seq = 0;
+  bool have_prev = false;
+  auto dropped = [&](const Entry& e) {
+    const bool newest_for_key = !have_prev || e.key != prev_key;
+    const bool drop =
+        newest_for_key ? bottom && e.op == EntryOp::kDelete && e.seq <= horizon
+                       : prev_seq <= horizon;
+    if (newest_for_key) prev_key = e.key;
+    prev_seq = e.seq;
+    have_prev = true;
+    return drop;
+  };
+  EVO_ASSIGN_OR_RETURN(
+      auto meta,
+      WriteSstLocked(next_file_id_, out_level, input_entries, input_bytes,
+                     [&](SSTableBuilder* builder) {
+                       Status added;
+                       EVO_RETURN_IF_ERROR(MergeRuns(
+                           OpenRunsLocked(/*with_mem=*/false, inputs, ""),
+                           [&](const Entry& e) {
+                             if (!dropped(e)) added = builder->Add(e);
+                             return added.ok();
+                           }));
+                       return added;
+                     }));
+  if (meta) {
+    ++next_file_id_;
+    out_keep.push_back(std::move(*meta));
   }
 
   // Install: the inputs are exactly the files this compaction replaces.

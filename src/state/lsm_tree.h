@@ -13,8 +13,9 @@
 ///              each SST probe behind its bloom filter
 ///   scans   -> one k-way merge of memtable and SST cursors (also the
 ///              compaction input)
-///   MVCC    -> global sequence numbers; GetSnapshot() pins a sequence so
-///              readers (queryable state, checkpoints) see a stable view
+///   MVCC    -> global sequence numbers; a PinnedScan pins one so a
+///              checkpoint reads a stable view while writes go on, and
+///              compaction keeps every version a pin can still see
 ///   ingest  -> sorted puts straight into one SST (no WAL, no memtable),
 ///              installed at the deepest level nothing above overlaps
 ///
@@ -48,11 +49,6 @@ struct LsmOptions {
   size_t memtable_bytes = 1 << 20;
   /// Number of L0 files that triggers compaction into L1.
   int l0_compaction_trigger = 4;
-  /// Deepest level index (levels 0..max_level).
-  int max_level = 3;
-  /// Target byte size of L1; each deeper level is multiplier× larger.
-  uint64_t level_base_bytes = 4ull << 20;
-  int level_size_multiplier = 10;
   /// Sync the WAL on every write (durable but slow) or rely on flush.
   bool sync_wal = false;
 };
@@ -93,7 +89,7 @@ class LsmTree {
   /// \brief Bulk-loads puts as one new SST file. `produce` hands each put to
   /// the IngestPut it is given, keys strictly ascending; `expected_keys`
   /// sizes the file's bloom filter. The memtable is flushed first, then all
-  /// puts take one fresh sequence number (pinned snapshots never see them)
+  /// puts take one fresh sequence number (pinned scans never see them)
   /// and the file goes to the deepest level where no file at that level or
   /// above overlaps its key range, else to L0 as the newest file. Nothing is
   /// written to the WAL: the file is durable once the manifest lists it.
@@ -105,35 +101,22 @@ class LsmTree {
 
   /// \brief Latest visible value, or nullopt if absent/deleted.
   Result<std::optional<std::string>> Get(std::string_view key);
-  /// \brief Value visible at a pinned snapshot sequence.
-  Result<std::optional<std::string>> GetAtSnapshot(std::string_view key,
-                                                   uint64_t snapshot_seq);
 
-  /// \brief Ordered scan of live (non-deleted) keys with the given prefix at
-  /// a snapshot. Visits (key, value) in key order.
-  Status ScanPrefix(std::string_view prefix, uint64_t snapshot_seq,
-                    const std::function<void(std::string_view key,
-                                             std::string_view value)>& fn);
-  /// \brief Scan of the newest versions, read under the scan's own lock (a
-  /// sequence read in an earlier lock could lose its versions to a
-  /// compaction before the scan starts).
+  /// \brief Ordered scan of the newest live versions of the keys with the
+  /// given prefix, in key order. The sequence it reads at is taken under the
+  /// scan's own lock (one read in an earlier lock could lose its versions to
+  /// a compaction before the scan starts).
   Status ScanPrefix(std::string_view prefix,
                     const std::function<void(std::string_view key,
-                                             std::string_view value)>& fn) {
-    return ScanPrefix(prefix, UINT64_MAX, fn);
-  }
-
-  /// \brief Ordered scan of live keys in [lo, hi) at a snapshot.
-  Status ScanRange(std::string_view lo, std::string_view hi,
-                   uint64_t snapshot_seq,
-                   const std::function<void(std::string_view key,
-                                            std::string_view value)>& fn);
+                                             std::string_view value)>& fn);
 
   /// \brief An ordered scan of every live key at a pinned sequence, taken in
   /// steps while the tree keeps taking writes, flushes, compactions and
-  /// ingests. The constructor pins the current sequence (GetSnapshot); the
-  /// last step, or else the destructor, releases it, and the scan must die
-  /// before the tree. Steps run under the tree mutex and resume one merge.
+  /// ingests: the tree's only read at a sequence other than its latest. The
+  /// constructor pins the current sequence, so compaction keeps every version
+  /// visible at it; the last step, or else the destructor, releases the pin,
+  /// and the scan must die before the tree. Steps run under the tree mutex
+  /// and resume one merge.
   /// The scan holds its own reference to every SST it reads, so compaction
   /// cannot take a file away from it; a replaced memtable makes the next
   /// step rebuild the cursors over the current tree, past the last key taken.
@@ -163,15 +146,10 @@ class LsmTree {
     std::vector<std::unique_ptr<EntryCursor>> runs_;
     /// The last key taken. It owns its bytes: the entry it was copied from
     /// may view a memtable that a flush frees before the next step.
-    std::string last_key_;
-    bool have_last_ = false;
+    std::optional<std::string> last_key_;
     bool done_ = false;
   };
 
-  /// \brief Pins the current sequence number; reads at it are repeatable
-  /// until released. Used for queryable-state isolation and snapshots.
-  uint64_t GetSnapshot();
-  void ReleaseSnapshot(uint64_t seq);
   uint64_t LatestSequence() const;
 
   /// \brief Forces the memtable to L0 (and truncates the WAL).
@@ -195,27 +173,29 @@ class LsmTree {
   Status MaybeCompactLocked();
   Status CompactLevelLocked(int level);
   /// Cursors over the memtable (if `with_mem`) and `files`, each at its
-  /// first key >= `lo`: the runs of one merge.
+  /// first key >= `lo`: the runs of one merge. Every scan and every
+  /// compaction reads through them.
   std::vector<std::unique_ptr<EntryCursor>> OpenRunsLocked(
       bool with_mem, const std::vector<FileMeta>& files,
       std::string_view lo) const;
-  /// Streams the (key asc, seq desc) merge of the memtable (if `with_mem`)
-  /// and `files`, from the first key >= `lo`, into `fn(const Entry&)` until
-  /// it returns false. Every scan and every compaction reads through here.
-  template <typename Fn>
-  Status MergeLocked(bool with_mem, const std::vector<FileMeta>& files,
-                     std::string_view lo, Fn&& fn);
-  /// Writes `produce`'s puts at sequence `seq` into SST `id` and opens it;
-  /// null when there were none. Leaves the file behind on failure.
-  Result<std::unique_ptr<SSTableReader>> WriteIngestFileLocked(
-      uint64_t id, uint64_t seq, size_t expected_keys,
-      const std::function<Status(const IngestPut& put)>& produce);
+  /// Every SST is made here: `fill` adds the entries of file `id`, whose
+  /// bloom filter is sized for `expected_keys` and whose buffer reserves
+  /// `expected_bytes`; the file is then written and read back (which catches
+  /// a short write) as a file of `level`. Nullopt, and no file, when `fill`
+  /// added nothing. Leaves the file behind on failure.
+  Result<std::optional<FileMeta>> WriteSstLocked(
+      uint64_t id, int level, size_t expected_keys, size_t expected_bytes,
+      const std::function<Status(SSTableBuilder* builder)>& fill);
   Status WriteManifestLocked();
   Status RecoverLocked();
 
   std::string SstPath(uint64_t id) const;
   std::string WalPath(uint64_t id) const;
   std::string ManifestPath() const;
+  /// Pins the current sequence for a PinnedScan: compaction keeps every
+  /// version visible at it until UnpinLocked.
+  uint64_t Pin();
+  void UnpinLocked(uint64_t seq);
   uint64_t MinLiveSnapshotLocked() const;
 
   LsmOptions options_;
@@ -232,7 +212,7 @@ class LsmTree {
   uint64_t next_file_id_ = 1;
   uint64_t seq_ = 0;
   std::vector<std::vector<FileMeta>> levels_;  // levels_[0] newest-last
-  std::multiset<uint64_t> live_snapshots_;
+  std::multiset<uint64_t> live_snapshots_;  ///< the PinnedScans' pins
 
   mutable LsmStats stats_;
 };

@@ -72,15 +72,10 @@ const MemTable::Node* MemTable::SeekGE(std::string_view key) const {
   return x->Tower()[0];
 }
 
-std::optional<Entry> MemTable::Get(std::string_view key,
-                                   uint64_t snapshot_seq) const {
-  // Seek to the first entry with this exact key; versions are ordered newest
-  // first, so the first one with seq <= snapshot wins.
+std::optional<Entry> MemTable::Get(std::string_view key) const {
   const Node* n = SeekGE(key);
-  for (; n != nullptr && n->Key() == key; n = n->Tower()[0]) {
-    if (n->seq <= snapshot_seq) return n->ToEntry();
-  }
-  return std::nullopt;
+  if (n == nullptr || n->Key() != key) return std::nullopt;
+  return n->ToEntry();  // versions run newest first
 }
 
 }  // namespace evo::state

@@ -4,10 +4,11 @@
 /// \brief The LSM write buffer: a skiplist of (key, seqno, op) entries,
 /// mirroring the RocksDB memtable design.
 ///
-/// Entries are ordered by (user key ascending, sequence number descending) so
-/// a point lookup at a snapshot seeks to the first entry for the key with
-/// seqno <= snapshot. Deletes are tombstone entries; they shadow older puts
-/// and are dropped once compaction carries them into the bottom level.
+/// Entries are ordered by (user key ascending, sequence number descending), so
+/// a point lookup's first entry for the key is its newest version, and a
+/// cursor walks a key's versions newest first. Deletes are tombstone entries;
+/// they shadow older puts and are dropped once compaction carries them into
+/// the bottom level.
 ///
 /// Each skiplist node is one bump allocation from the memtable's arena: the
 /// node header, its tower of next pointers, the key bytes, the value bytes.
@@ -66,10 +67,9 @@ class MemTable {
   void Add(std::string_view key, uint64_t seq, EntryOp op,
            std::string_view value);
 
-  /// \brief Point lookup at snapshot `seq`: returns the newest visible entry
-  /// for the key, or nullopt if none (caller then checks SSTs). A visible
-  /// tombstone yields an engaged optional holding a tombstone entry.
-  std::optional<Entry> Get(std::string_view key, uint64_t snapshot_seq) const;
+  /// \brief Point lookup: the key's newest entry, or nullopt if none (caller
+  /// then checks SSTs). A tombstone yields an engaged optional holding it.
+  std::optional<Entry> Get(std::string_view key) const;
 
   /// \brief Cursor over the skiplist's bottom level.
   class Cursor final : public EntryCursor {

@@ -212,13 +212,10 @@ SSTableReader::Cursor SSTableReader::Seek(std::string_view lo) const {
   return c;
 }
 
-Result<std::optional<Entry>> SSTableReader::Get(std::string_view key,
-                                                uint64_t snapshot_seq) const {
-  Cursor c = Seek(key);
-  for (; c.Current() != nullptr && c.Current()->key == key; c.Next()) {
-    if (c.Current()->seq <= snapshot_seq) {
-      return std::optional<Entry>(*c.Current());
-    }
+Result<std::optional<Entry>> SSTableReader::Get(std::string_view key) const {
+  Cursor c = Seek(key);  // lands on the newest version of its key
+  if (c.Current() != nullptr && c.Current()->key == key) {
+    return std::optional<Entry>(*c.Current());
   }
   EVO_RETURN_IF_ERROR(c.status());
   return std::optional<Entry>{};

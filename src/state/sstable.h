@@ -113,12 +113,10 @@ class SSTableReader {
   /// `hash`; one point read hashes its key once for every file it probes.
   bool MayContainHash(uint64_t hash) const { return bloom_.MayContainHash(hash); }
 
-  /// \brief Newest entry for `key` visible at `snapshot_seq`, or nullopt.
-  /// Tombstones are returned (caller interprets op). Does not consult the
-  /// bloom filter; the caller does that with MayContainHash(). The entry views
-  /// this reader's buffer.
-  Result<std::optional<Entry>> Get(std::string_view key,
-                                   uint64_t snapshot_seq) const;
+  /// \brief Newest entry for `key`, or nullopt. Tombstones are returned
+  /// (caller interprets op). Does not consult the bloom filter; the caller
+  /// does that with MayContainHash(). The entry views this reader's buffer.
+  Result<std::optional<Entry>> Get(std::string_view key) const;
 
   uint64_t entry_count() const { return entry_count_; }
   std::string_view smallest_key() const { return smallest_; }

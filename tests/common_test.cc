@@ -13,7 +13,6 @@
 #include "common/rng.h"
 #include "common/serde.h"
 #include "common/status.h"
-#include "event/element.h"
 #include "event/value.h"
 
 namespace evo {
@@ -252,15 +251,6 @@ TEST(MetricsTest, HistogramQuantiles) {
   EXPECT_LE(p50, 1024);
 }
 
-TEST(MetricsTest, MeterRateWithManualClock) {
-  ManualClock clock(0);
-  Meter meter(&clock, /*alpha=*/1.0);
-  meter.Mark(1000);
-  clock.AdvanceMs(1000);
-  double rate = meter.RatePerSec();
-  EXPECT_NEAR(rate, 1000.0, 1.0);
-}
-
 TEST(ValueTest, TypesAndAccessors) {
   EXPECT_TRUE(Value().is_null());
   EXPECT_EQ(Value(int64_t{5}).AsInt(), 5);
@@ -311,30 +301,6 @@ TEST(ValueTest, TotalOrderIsStrict) {
   EXPECT_TRUE(a < b);  // int type tag < double type tag
   EXPECT_TRUE(b < c);
   EXPECT_FALSE(a < a);
-}
-
-TEST(StreamElementTest, FactoryAndSerdeRoundTrip) {
-  StreamElement elems[] = {
-      StreamElement::OfRecord(100, Value::Tuple("k", int64_t{1})),
-      StreamElement::Watermark(500),
-      StreamElement::Punctuation(200, 77, true),
-      StreamElement::Barrier(3, CheckpointMode::kUnaligned),
-      StreamElement::LatencyMarker(999),
-      StreamElement::EndOfStream(),
-  };
-  for (const StreamElement& e : elems) {
-    BinaryWriter w;
-    e.EncodeTo(&w);
-    BinaryReader r(w.buffer());
-    StreamElement out;
-    ASSERT_TRUE(StreamElement::DecodeFrom(&r, &out).ok());
-    EXPECT_EQ(out.kind, e.kind);
-    EXPECT_EQ(out.time, e.time);
-    EXPECT_EQ(out.tag, e.tag);
-    EXPECT_EQ(out.key_scoped, e.key_scoped);
-    EXPECT_EQ(out.mode, e.mode);
-    if (e.is_record()) EXPECT_EQ(out.record, e.record);
-  }
 }
 
 }  // namespace

@@ -298,16 +298,16 @@ TEST(SerdeRobustnessTest, RandomCorruptionNeverCrashesValueDecode) {
   SUCCEED();
 }
 
-TEST(SerdeRobustnessTest, TruncatedStreamElementsFailCleanly) {
-  StreamElement element =
-      StreamElement::OfRecord(123, Value::Tuple("payload", int64_t{1}));
+TEST(SerdeRobustnessTest, TruncatedValuesFailCleanly) {
+  const Value value =
+      Value::Tuple("payload", int64_t{1}, Value::Tuple(2.5, true), Value());
   BinaryWriter w;
-  element.EncodeTo(&w);
+  value.EncodeTo(&w);
   const std::string& full = w.buffer();
   for (size_t cut = 0; cut < full.size(); ++cut) {
     BinaryReader r(std::string_view(full).substr(0, cut));
-    StreamElement out;
-    Status st = StreamElement::DecodeFrom(&r, &out);
+    Value out;
+    Status st = Value::DecodeFrom(&r, &out);
     EXPECT_FALSE(st.ok()) << "cut=" << cut;
     EXPECT_EQ(st.code(), StatusCode::kDataLoss);
   }

@@ -1,7 +1,7 @@
 // Tests for the storage substrate: Env (Posix + Mem, crash simulation), WAL
 // framing and torn-tail recovery, bloom filters, memtable versioning, SST
-// build/read, and the LSM tree end to end (flush, compaction, MVCC
-// snapshots, crash recovery, tombstone GC).
+// build/read, and the LSM tree end to end (flush, compaction, pinned scans,
+// crash recovery, tombstone GC).
 
 #include <gtest/gtest.h>
 
@@ -189,21 +189,33 @@ TEST(BloomTest, DecodeRejectsWordCountPastTheEnd) {
 // MemTable
 // ---------------------------------------------------------------------------
 
+// The (seq, value) of every version of `key` under a cursor, newest first.
+template <typename Run>
+std::vector<std::pair<uint64_t, std::string>> Versions(const Run& run,
+                                                       std::string_view key) {
+  std::vector<std::pair<uint64_t, std::string>> out;
+  for (auto c = run.Seek(key);
+       c.Current() != nullptr && c.Current()->key == key; c.Next()) {
+    out.emplace_back(c.Current()->seq, c.Current()->value);
+  }
+  return out;
+}
+
 TEST(MemTableTest, NewestVisibleVersionWins) {
   MemTable mem;
   mem.Add("k", 1, EntryOp::kPut, "v1");
-  mem.Add("k", 5, EntryOp::kPut, "v5");
   mem.Add("k", 9, EntryOp::kDelete, "");
-  auto at3 = mem.Get("k", 3);
-  ASSERT_TRUE(at3.has_value());
-  EXPECT_EQ(at3->value, "v1");
-  auto at7 = mem.Get("k", 7);
-  ASSERT_TRUE(at7.has_value());
-  EXPECT_EQ(at7->value, "v5");
-  auto at9 = mem.Get("k", 9);
-  ASSERT_TRUE(at9.has_value());
-  EXPECT_EQ(at9->op, EntryOp::kDelete);
-  EXPECT_FALSE(mem.Get("other", 100).has_value());
+  mem.Add("k", 5, EntryOp::kPut, "v5");
+  auto newest = mem.Get("k");
+  ASSERT_TRUE(newest.has_value());
+  EXPECT_EQ(newest->seq, 9u);
+  EXPECT_EQ(newest->op, EntryOp::kDelete);
+  // A read pinned at a sequence takes the first version at or below it.
+  EXPECT_EQ(Versions(mem, "k"),
+            (std::vector<std::pair<uint64_t, std::string>>{
+                {9, ""}, {5, "v5"}, {1, "v1"}}));
+  EXPECT_FALSE(mem.Get("j").has_value());  // seeks onto "k"
+  EXPECT_FALSE(mem.Get("other").has_value());
 }
 
 TEST(MemTableTest, OrderedIterationKeyAscSeqDesc) {
@@ -274,7 +286,7 @@ TEST(MemTableTest, ValueLargerThanAnArenaBlock) {
   mem.Add("a", 1, EntryOp::kPut, "small");
   mem.Add("big", 2, EntryOp::kPut, big);
   mem.Add("c", 3, EntryOp::kPut, "small");
-  auto got = mem.Get("big", 10);
+  auto got = mem.Get("big");
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->value, big);
   std::vector<std::string> keys;
@@ -290,21 +302,15 @@ TEST(MemTableTest, EmptyKeyAndEmptyValue) {
   mem.Add("", 1, EntryOp::kPut, "");
   mem.Add("k", 2, EntryOp::kPut, "");
   mem.Add("", 3, EntryOp::kPut, "v");
-  auto newest = mem.Get("", 10);
+  auto newest = mem.Get("");
   ASSERT_TRUE(newest.has_value());
   EXPECT_EQ(newest->key, "");
   EXPECT_EQ(newest->value, "v");
-  auto oldest = mem.Get("", 2);
-  ASSERT_TRUE(oldest.has_value());
-  EXPECT_EQ(oldest->seq, 1u);
-  EXPECT_EQ(oldest->value, "");
-  auto empty_value = mem.Get("k", 10);
+  auto empty_value = mem.Get("k");
   ASSERT_TRUE(empty_value.has_value());
   EXPECT_EQ(empty_value->value, "");
-  auto c = mem.Seek("");
-  ASSERT_NE(c.Current(), nullptr);
-  EXPECT_EQ(c.Current()->key, "");
-  EXPECT_EQ(c.Current()->seq, 3u);
+  EXPECT_EQ(Versions(mem, ""), (std::vector<std::pair<uint64_t, std::string>>{
+                                   {3, "v"}, {1, ""}}));
 }
 
 TEST(MemTableTest, ThousandVersionsOfOneKey) {
@@ -318,14 +324,13 @@ TEST(MemTableTest, ThousandVersionsOfOneKey) {
   for (uint64_t seq : seqs) {
     mem.Add("k", seq, EntryOp::kPut, "v" + std::to_string(seq));
   }
-  for (uint64_t snap = 1; snap <= 1000; snap += 37) {
-    auto got = mem.Get("k", snap);
-    ASSERT_TRUE(got.has_value());
-    EXPECT_EQ(got->value, "v" + std::to_string(snap));
-  }
+  auto got = mem.Get("k");
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->value, "v1000");
   uint64_t expect = 1000;
   for (auto c = mem.Seek("k"); c.Current() != nullptr; c.Next(), --expect) {
     EXPECT_EQ(c.Current()->seq, expect);
+    EXPECT_EQ(c.Current()->value, "v" + std::to_string(expect));
   }
   EXPECT_EQ(expect, 0u);
 }
@@ -369,11 +374,11 @@ TEST(SSTableTest, BuildAndPointLookup) {
   auto reader = SSTableReader::Open(&env, "/t.sst");
   ASSERT_TRUE(reader.ok());
   EXPECT_EQ((*reader)->entry_count(), 100u);
-  auto hit = (*reader)->Get("key0042", UINT64_MAX);
+  auto hit = (*reader)->Get("key0042");
   ASSERT_TRUE(hit.ok());
   ASSERT_TRUE(hit->has_value());
   EXPECT_EQ((*hit)->value, "val42");
-  auto miss = (*reader)->Get("key9999", UINT64_MAX);
+  auto miss = (*reader)->Get("key9999");
   ASSERT_TRUE(miss.ok());
   EXPECT_FALSE(miss->has_value());
 }
@@ -386,15 +391,16 @@ TEST(SSTableTest, SnapshotVisibility) {
   ASSERT_TRUE(builder.Finish().ok());
   auto reader = SSTableReader::Open(&env, "/t.sst");
   ASSERT_TRUE(reader.ok());
-  auto at7 = (*reader)->Get("k", 7);
-  ASSERT_TRUE(at7.ok() && at7->has_value());
-  EXPECT_EQ((*at7)->value, "old");
-  auto at20 = (*reader)->Get("k", 20);
-  ASSERT_TRUE(at20.ok() && at20->has_value());
-  EXPECT_EQ((*at20)->value, "new");
-  auto at2 = (*reader)->Get("k", 2);
-  ASSERT_TRUE(at2.ok());
-  EXPECT_FALSE(at2->has_value());
+  auto newest = (*reader)->Get("k");
+  ASSERT_TRUE(newest.ok() && newest->has_value());
+  EXPECT_EQ((*newest)->value, "new");
+  // A read pinned at a sequence takes the first version at or below it.
+  EXPECT_EQ(Versions(**reader, "k"),
+            (std::vector<std::pair<uint64_t, std::string>>{{10, "new"},
+                                                           {5, "old"}}));
+  auto absent = (*reader)->Get("j");  // seeks onto "k"
+  ASSERT_TRUE(absent.ok());
+  EXPECT_FALSE(absent->has_value());
 }
 
 TEST(SSTableTest, NewestVersionFoundAcrossIndexStripeBoundary) {
@@ -420,13 +426,15 @@ TEST(SSTableTest, NewestVersionFoundAcrossIndexStripeBoundary) {
   ASSERT_TRUE(builder.Finish().ok());
   auto reader = SSTableReader::Open(&env, "/t.sst");
   ASSERT_TRUE(reader.ok());
-  auto newest = (*reader)->Get("hot", UINT64_MAX);
+  auto newest = (*reader)->Get("hot");
   ASSERT_TRUE(newest.ok() && newest->has_value());
   EXPECT_EQ((*newest)->value, "v40");
-  // And snapshot reads resolve mid-chain versions across stripes too.
-  auto mid = (*reader)->Get("hot", 17);
-  ASSERT_TRUE(mid.ok() && mid->has_value());
-  EXPECT_EQ((*mid)->value, "v17");
+  // And a cursor walks the whole chain across stripes, newest first.
+  const auto versions = Versions(**reader, "hot");
+  ASSERT_EQ(versions.size(), 40u);
+  for (uint64_t v = 40; v >= 1; --v) {
+    EXPECT_EQ(versions[40 - v], std::make_pair(v, "v" + std::to_string(v)));
+  }
 }
 
 TEST(SSTableTest, OutOfOrderAddRejected) {
@@ -526,6 +534,24 @@ LsmOptions SmallLsm(Env* env, const std::string& dir) {
   return test_util::SmallLsmOptions(env, dir);
 }
 
+using Rows = std::vector<std::pair<std::string, std::string>>;
+
+// Steps `scan` to its end `keys_per_step` keys at a time, calling `between`
+// after every step that left it unfinished; returns the rows it visited.
+Rows StepToEnd(LsmTree::PinnedScan* scan, size_t keys_per_step,
+               const std::function<void()>& between) {
+  Rows rows;
+  while (true) {
+    auto done = scan->Step(keys_per_step, [&](std::string_view k,
+                                              std::string_view v) {
+      rows.emplace_back(k, v);
+    });
+    EXPECT_TRUE(done.ok()) << done.status().ToString();
+    if (!done.ok() || *done) return rows;
+    between();
+  }
+}
+
 TEST(LsmTest, PutGetDelete) {
   MemEnv env;
   auto tree = LsmTree::Open(SmallLsm(&env, "/db"));
@@ -597,16 +623,14 @@ TEST(LsmTest, SnapshotIsolation) {
   auto tree = LsmTree::Open(SmallLsm(&env, "/db"));
   ASSERT_TRUE(tree.ok());
   ASSERT_TRUE((*tree)->Put("k", "v1").ok());
-  uint64_t snap = (*tree)->GetSnapshot();
+  LsmTree::PinnedScan scan(tree->get());
   ASSERT_TRUE((*tree)->Put("k", "v2").ok());
+  ASSERT_TRUE((*tree)->Put("j", "new").ok());
   ASSERT_TRUE((*tree)->Flush().ok());  // move versions into SSTs too
-  auto at_snap = (*tree)->GetAtSnapshot("k", snap);
-  ASSERT_TRUE(at_snap.ok() && at_snap->has_value());
-  EXPECT_EQ(**at_snap, "v1");
+  EXPECT_EQ(StepToEnd(&scan, 1, [] {}), (Rows{{"k", "v1"}}));
   auto latest = (*tree)->Get("k");
   ASSERT_TRUE(latest.ok() && latest->has_value());
   EXPECT_EQ(**latest, "v2");
-  (*tree)->ReleaseSnapshot(snap);
 }
 
 TEST(LsmTest, CrashRecoveryReplaysWal) {
@@ -743,8 +767,6 @@ TEST(LsmTest, BottomTombstoneLeavesNoFile) {
   EXPECT_FALSE(got->has_value());
 }
 
-using Rows = std::vector<std::pair<std::string, std::string>>;
-
 Status IngestRows(LsmTree* tree, const Rows& rows) {
   return tree->Ingest(rows.size(), [&](const LsmTree::IngestPut& put) {
     for (const auto& [key, value] : rows) EVO_RETURN_IF_ERROR(put(key, value));
@@ -789,18 +811,16 @@ TEST(LsmTest, IngestLandsBelowOnlyWhatItCannotShadow) {
   ASSERT_TRUE(tree->Put("b", "flushed").ok());
   ASSERT_TRUE(tree->Flush().ok());
   ASSERT_EQ(files_at(0), 1u);
-  const uint64_t pinned = tree->GetSnapshot();
-  ASSERT_TRUE(IngestRows(tree.get(), {{"a", "2"}, {"b", "2"}}).ok());
-  EXPECT_EQ(files_at(0), 2u);
-  EXPECT_EQ(GetOrDie(tree.get(), "b"), "2");
-  // The pinned reader sees none of the ingested puts.
-  auto old_b = tree->GetAtSnapshot("b", pinned);
-  ASSERT_TRUE(old_b.ok());
-  EXPECT_EQ(*old_b, "flushed");
-  auto old_a = tree->GetAtSnapshot("a", pinned);
-  ASSERT_TRUE(old_a.ok());
-  EXPECT_EQ(*old_a, "1");
-  tree->ReleaseSnapshot(pinned);
+  {
+    LsmTree::PinnedScan pinned(tree.get());
+    ASSERT_TRUE(IngestRows(tree.get(), {{"a", "2"}, {"b", "2"}}).ok());
+    EXPECT_EQ(files_at(0), 2u);
+    EXPECT_EQ(GetOrDie(tree.get(), "b"), "2");
+    // The pinned reader sees none of the ingested puts.
+    EXPECT_EQ(StepToEnd(&pinned, 2, [] {}),
+              (Rows{{"a", "1"}, {"b", "flushed"}, {"c", "1"}, {"x", "1"},
+                    {"y", "1"}}));
+  }
 
   // A gap between bottom files takes the new file, kept in key order.
   ASSERT_TRUE(IngestRows(tree.get(), {{"m", "1"}, {"n", "1"}}).ok());
@@ -851,22 +871,6 @@ TEST(LsmTest, IngestLandsBelowOnlyWhatItCannotShadow) {
 // ---------------------------------------------------------------------------
 // Pinned scans
 // ---------------------------------------------------------------------------
-
-// Steps `scan` to its end `keys_per_step` keys at a time, calling `between`
-// after every step that left it unfinished; returns the rows it visited.
-Rows StepToEnd(LsmTree::PinnedScan* scan, size_t keys_per_step,
-               const std::function<void()>& between) {
-  Rows rows;
-  while (true) {
-    auto done = scan->Step(keys_per_step, [&](std::string_view k,
-                                              std::string_view v) {
-      rows.emplace_back(k, v);
-    });
-    EXPECT_TRUE(done.ok()) << done.status().ToString();
-    if (!done.ok() || *done) return rows;
-    between();
-  }
-}
 
 TEST(LsmPinnedScanTest, ReadsItsPinThroughFlushesCompactionsAndIngests) {
   MemEnv env;
@@ -924,31 +928,25 @@ TEST(LsmPinnedScanTest, PinIsReleasedOnCompletionAndOnDrop) {
     std::unique_ptr<LsmTree> tree = std::move(*opened);
     ASSERT_TRUE(tree->Put("k", "old").ok());
     const uint64_t old_seq = tree->LatestSequence();
-    auto at_old_seq = [&] {
-      auto got = tree->GetAtSnapshot("k", old_seq);
-      EXPECT_TRUE(got.ok());
-      return got.ok() ? *got : std::nullopt;
-    };
     // CompactAll leaves a lone bottom file alone: a new version of the key
-    // carries the file holding the old one into the merge.
+    // carries the file holding the old one into the merge, which keeps a
+    // superseded version only for a pin. Each version is one entry.
     auto overwrite_and_compact = [&] {
-      ASSERT_TRUE(tree->Put("k", "new").ok());
-      ASSERT_TRUE(tree->CompactAll().ok());
+      EXPECT_TRUE(tree->Put("k", "new").ok());
+      EXPECT_TRUE(tree->CompactAll().ok());
+      return tree->GetStats().entries;
     };
     {
       LsmTree::PinnedScan scan(tree.get());
       EXPECT_EQ(scan.sequence(), old_seq);
-      overwrite_and_compact();
-      EXPECT_EQ(at_old_seq(), "old");  // the pin keeps the superseded version
+      EXPECT_EQ(overwrite_and_compact(), 2u);  // the pin keeps "old"
       if (complete) {
         EXPECT_EQ(StepToEnd(&scan, 1, [] {}), (Rows{{"k", "old"}}));
         // The last step released the pin; the scan object still lives.
-        overwrite_and_compact();
-        EXPECT_EQ(at_old_seq(), std::nullopt);
+        EXPECT_EQ(overwrite_and_compact(), 1u);
       }
     }
-    overwrite_and_compact();
-    EXPECT_EQ(at_old_seq(), std::nullopt);
+    EXPECT_EQ(overwrite_and_compact(), 1u);
   }
 }
 
@@ -1121,8 +1119,8 @@ TEST_P(LsmTreeModelTest, ReadsMatchVersionedModel) {
   LsmTree* tree = owner.get();
   Rng rng(GetParam());
 
-  // Keys of 1-3 bytes over an alphabet with both extreme bytes, so range
-  // ends and prefix successors hit 0x00 and 0xff.
+  // Keys of 1-3 bytes over an alphabet with both extreme bytes, so prefix
+  // successors hit 0x00 and 0xff.
   const std::string alphabet("\x00" "a" "b" "\xff", 4);
   std::vector<std::string> keys;
   for (const char c1 : alphabet) {
@@ -1135,61 +1133,59 @@ TEST_P(LsmTreeModelTest, ReadsMatchVersionedModel) {
   auto random_key = [&] { return keys[rng.NextBounded(keys.size())]; };
 
   VersionedModel model;
-  std::vector<uint64_t> snapshots;  // pinned, possibly repeated
   int ingests = 0;
-  // Pinned scans in progress, stepped by their own generator so the
-  // operation stream above stays that of the seed.
   struct OpenScan {
     std::unique_ptr<LsmTree::PinnedScan> scan;
     VersionedModel::Rows rows;
     int pinned_at = 0;
   };
+  // Compares a scan that has read to its end with the model at its pin.
+  auto check_scan = [&](const OpenScan& open, int step) {
+    EXPECT_EQ(open.rows, model.Select(open.scan->sequence(),
+                                      [](const std::string&) { return true; }))
+        << "scan pinned at step " << open.pinned_at << ", done at " << step;
+  };
+  // Long-held pins, read in full only when released, so compaction must keep
+  // what they see across many operations.
+  std::vector<OpenScan> held;
+  int held_read = 0;
+  // Pinned scans in progress, stepped by their own generator so the
+  // operation stream above stays that of the seed.
   std::vector<OpenScan> scans;
   Rng scan_rng(GetParam() ^ 0x5ca115ull);
   int scans_finished = 0, scans_stepped_across_ops = 0;
 
-  auto collect = [](const auto& scan) {
+  auto scan_prefix = [&](const std::string& prefix) {
     VersionedModel::Rows rows;
-    Status st = scan([&](std::string_view k, std::string_view v) {
+    Status st = tree->ScanPrefix(prefix, [&](std::string_view k,
+                                             std::string_view v) {
       rows.emplace_back(std::string(k), std::string(v));
     });
     EXPECT_TRUE(st.ok()) << st.ToString();
     return rows;
   };
 
-  auto check_view = [&](uint64_t snap, int step) {
-    SCOPED_TRACE("step " + std::to_string(step) + " snapshot " +
-                 std::to_string(snap));
-    EXPECT_EQ(collect([&](const auto& fn) {
-                return tree->ScanPrefix("", snap, fn);
-              }),
-              model.Select(snap, [](const std::string&) { return true; }));
+  // The latest state, through ScanPrefix and Get, against the model's newest
+  // versions.
+  auto check_latest = [&](int step) {
+    SCOPED_TRACE("step " + std::to_string(step));
+    EXPECT_EQ(scan_prefix(""), model.Select(UINT64_MAX, [](const std::string&) {
+      return true;
+    }));
     std::vector<std::string> prefixes = {"\xff", "a\xff", "\xff\xff",
                                          std::string(1, '\0'), random_key()};
     for (const std::string& prefix : prefixes) {
-      EXPECT_EQ(collect([&](const auto& fn) {
-                  return tree->ScanPrefix(prefix, snap, fn);
-                }),
-                model.Select(snap, [&](const std::string& k) {
+      EXPECT_EQ(scan_prefix(prefix),
+                model.Select(UINT64_MAX, [&](const std::string& k) {
                   return k.compare(0, prefix.size(), prefix) == 0;
                 }))
           << "prefix of " << prefix.size() << " bytes";
     }
-    for (int i = 0; i < 6; ++i) {
-      const std::string lo = random_key();
-      const std::string hi = rng.NextBool(0.2) ? std::string() : random_key();
-      EXPECT_EQ(collect([&](const auto& fn) {
-                  return tree->ScanRange(lo, hi, snap, fn);
-                }),
-                model.Select(snap, [&](const std::string& k) {
-                  return k >= lo && (hi.empty() || k < hi);
-                }));
-    }
     for (const std::string& key : keys) {
-      auto got = tree->GetAtSnapshot(key, snap);
+      auto got = tree->Get(key);
       ASSERT_TRUE(got.ok());
-      EXPECT_EQ(*got, model.Get(key, snap)) << "key of " << key.size()
-                                            << " bytes";
+      EXPECT_EQ(*got, model.Get(key, UINT64_MAX))
+          << "key of " << key.size() << " bytes";
     }
   };
 
@@ -1227,11 +1223,20 @@ TEST_P(LsmTreeModelTest, ReadsMatchVersionedModel) {
     } else if (roll < 86) {
       ASSERT_TRUE(tree->CompactAll().ok());
     } else if (roll < 93) {
-      if (snapshots.size() < 4) snapshots.push_back(tree->GetSnapshot());
-    } else if (!snapshots.empty()) {
-      const size_t victim = rng.NextBounded(snapshots.size());
-      tree->ReleaseSnapshot(snapshots[victim]);
-      snapshots.erase(snapshots.begin() + static_cast<ptrdiff_t>(victim));
+      if (held.size() < 4) {
+        held.push_back({std::make_unique<LsmTree::PinnedScan>(tree), {}, step});
+      }
+    } else if (!held.empty()) {
+      const size_t victim = rng.NextBounded(held.size());
+      OpenScan& open = held[victim];
+      auto done = open.scan->Step(SIZE_MAX, [&](std::string_view k,
+                                                std::string_view v) {
+        open.rows.emplace_back(std::string(k), std::string(v));
+      });
+      ASSERT_TRUE(done.ok() && *done) << done.status().ToString();
+      check_scan(open, step);
+      ++held_read;
+      held.erase(held.begin() + static_cast<ptrdiff_t>(victim));
     }
     if (scans.size() < 3 && scan_rng.NextBool(0.05)) {
       scans.push_back({std::make_unique<LsmTree::PinnedScan>(tree), {}, step});
@@ -1253,18 +1258,12 @@ TEST_P(LsmTreeModelTest, ReadsMatchVersionedModel) {
         ++it;
         continue;
       }
-      const uint64_t seq = it->scan->sequence();
-      EXPECT_EQ(it->rows,
-                model.Select(seq, [](const std::string&) { return true; }))
-          << "scan pinned at step " << it->pinned_at << ", done at " << step;
+      check_scan(*it, step);
       ++scans_finished;
       scans_stepped_across_ops += it->pinned_at != step;
       it = scans.erase(it);
     }
-    if (step % 100 == 0) {
-      for (uint64_t snap : snapshots) check_view(snap, step);
-      check_view(tree->LatestSequence(), step);
-    }
+    if (step % 100 == 0) check_latest(step);
   }
   LsmStats stats = tree->GetStats();
   EXPECT_GT(stats.flushes, 0u);
@@ -1272,11 +1271,11 @@ TEST_P(LsmTreeModelTest, ReadsMatchVersionedModel) {
   EXPECT_GT(ingests, 0);
   EXPECT_GT(scans_finished, 20);
   EXPECT_GT(scans_stepped_across_ops, 10);
+  EXPECT_GT(held_read, 20);
 
   // A reopen after a crash reads the same latest state (sequence numbers
   // are renumbered by the WAL replay, so compare values only).
-  for (uint64_t snap : snapshots) tree->ReleaseSnapshot(snap);
-  snapshots.clear();
+  held.clear();
   scans.clear();
   owner.reset();
   env.SimulateCrash();
@@ -1284,7 +1283,7 @@ TEST_P(LsmTreeModelTest, ReadsMatchVersionedModel) {
   ASSERT_TRUE(opened.ok());
   owner = std::move(*opened);
   tree = owner.get();
-  check_view(UINT64_MAX, 0);
+  check_latest(0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LsmTreeModelTest,

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <set>
 #include <tuple>
@@ -322,11 +323,54 @@ class CollectingCollector final : public dataflow::Collector {
   std::vector<std::pair<std::string, Record>> side;
 };
 
+// A MemBackend that counts the point reads made through it.
+class CountingBackend final : public state::KeyedStateBackend {
+ public:
+  explicit CountingBackend(state::MemBackend* inner) : inner_(inner) {}
+
+  Status Put(state::StateNamespace ns, uint64_t key, std::string_view uk,
+             std::string_view value) override {
+    return inner_->Put(ns, key, uk, value);
+  }
+  Result<std::optional<std::string>> Get(state::StateNamespace ns, uint64_t key,
+                                         std::string_view uk) override {
+    ++gets;
+    return inner_->Get(ns, key, uk);
+  }
+  Status Remove(state::StateNamespace ns, uint64_t key,
+                std::string_view uk) override {
+    return inner_->Remove(ns, key, uk);
+  }
+  Status IterateKey(state::StateNamespace ns, uint64_t key,
+                    const std::function<void(std::string_view,
+                                             std::string_view)>& fn) override {
+    return inner_->IterateKey(ns, key, fn);
+  }
+  Status IterateNamespace(
+      state::StateNamespace ns,
+      const std::function<void(uint64_t, std::string_view, std::string_view)>&
+          fn) override {
+    return inner_->IterateNamespace(ns, fn);
+  }
+  Result<std::string> SnapshotKeyGroups(uint32_t from, uint32_t to) override {
+    return inner_->SnapshotKeyGroups(from, to);
+  }
+  uint64_t ApproxEntryCount() const override {
+    return inner_->ApproxEntryCount();
+  }
+
+  uint64_t gets = 0;
+
+ private:
+  state::MemBackend* inner_;
+};
+
 // Hosts one operator as a task does: keyed backend, timers, and watermarks
 // that fire due event-time timers.
 struct DirectHarness {
   explicit DirectHarness(std::unique_ptr<dataflow::Operator> o)
-      : state(&backend),
+      : counting(&backend),
+        state(&counting),
         timers(&clock),
         ctx(&state, &timers, nullptr, 0, 1, &clock),
         op(std::move(o)) {}
@@ -349,6 +393,7 @@ struct DirectHarness {
 
   ManualClock clock;
   state::MemBackend backend;
+  CountingBackend counting;  ///< the operator's view of `backend`
   state::StateContext state;
   time::TimerService timers;
   dataflow::OperatorContext ctx;
@@ -584,6 +629,72 @@ TEST(JoinTest, IntervalJoinRespectsBounds) {
                  r.payload.AsList()[1].AsString());
   }
   EXPECT_EQ(pairs, (std::multiset<std::string>{"L1+R1", "L2+R3"}));
+}
+
+TEST(JoinTest, IntervalJoinStoresARecordInConstantGets) {
+  // Records sharing one key and one event time each cost the same number of
+  // point reads: an append, not a probe for a free slot.
+  auto pair = [](const Value& l, const Value& r) { return Value::Tuple(l, r); };
+  DirectHarness h(std::make_unique<IntervalJoinOperator>(0, 50, pair));
+  ASSERT_TRUE(h.Open().ok());
+  std::set<uint64_t> gets_per_record;
+  for (int i = 0; i < 200; ++i) {
+    const uint64_t before = h.counting.gets;
+    ASSERT_TRUE(h.Add(i % 2, 100, 7, Value(int64_t{i})).ok());
+    gets_per_record.insert(h.counting.gets - before);
+  }
+  EXPECT_EQ(gets_per_record, (std::set<uint64_t>{1}));
+  // Each of the 100 right records paired with every left record before it.
+  EXPECT_EQ(h.out.out.size(), 100u * 101u / 2u + 99u * 100u / 2u);
+  ASSERT_TRUE(h.Watermark(kMaxWatermark).ok());
+  EXPECT_EQ(h.backend.ApproxEntryCount(), 0u);
+}
+
+TEST(JoinTest, IntervalJoinSendsNoOrNegativeEventTimeToLateOutput) {
+  // No stored time is below 0; kNoTimestamp in `event_time - upper` (right
+  // input) or `event_time + lower` with a negative lower (left) overflows.
+  auto pair = [](const Value& l, const Value& r) { return Value::Tuple(l, r); };
+  DirectHarness h(std::make_unique<IntervalJoinOperator>(-20, 30, pair));
+  ASSERT_TRUE(h.Open().ok());
+  ASSERT_TRUE(h.Add(0, 5, 7, Value("L")).ok());
+  ASSERT_TRUE(h.Add(1, 10, 7, Value("R")).ok());
+  for (size_t input : {0, 1}) {
+    for (TimeMs ts : {kNoTimestamp, TimeMs{-1}, TimeMs{-25}}) {
+      ASSERT_TRUE(h.Add(input, ts, 7, Value("bad")).ok());
+    }
+  }
+  ASSERT_EQ(h.out.side.size(), 6u);
+  for (const auto& [tag, r] : h.out.side) {
+    EXPECT_EQ(tag, "late");
+    EXPECT_LT(r.event_time, 0);
+  }
+  ASSERT_EQ(h.out.out.size(), 1u);  // only L at 5 with R at 10
+  EXPECT_EQ(h.out.out[0].payload, Value::Tuple("L", "R"));
+  EXPECT_EQ(h.out.out[0].event_time, 10);
+  EXPECT_EQ(h.backend.ApproxEntryCount(), 4u);  // 2 records + 2 slice metas
+  ASSERT_TRUE(h.Watermark(kMaxWatermark).ok());
+  EXPECT_EQ(h.backend.ApproxEntryCount(), 0u);
+  EXPECT_EQ(h.Add(2, 5, 7, Value("third input")).code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(JoinTest, IntervalJoinMatchesAtTheEndOfTime) {
+  // The interval and the cleanup time of a record near INT64_MAX stop at
+  // INT64_MAX instead of overflowing (UBSan in check.sh reports overflow).
+  auto pair = [](const Value& l, const Value& r) { return Value::Tuple(l, r); };
+  DirectHarness h(std::make_unique<IntervalJoinOperator>(-20, 30, pair));
+  ASSERT_TRUE(h.Open().ok());
+  const TimeMs end = std::numeric_limits<TimeMs>::max();
+  ASSERT_TRUE(h.Add(0, end - 10, 7, Value("L")).ok());
+  ASSERT_TRUE(h.Add(1, end - 5, 7, Value("R")).ok());
+  ASSERT_TRUE(h.Add(1, end, 7, Value("R2")).ok());
+  ASSERT_EQ(h.out.out.size(), 2u);
+  EXPECT_EQ(h.out.out[0].payload, Value::Tuple("L", "R"));
+  EXPECT_EQ(h.out.out[1].payload, Value::Tuple("L", "R2"));
+  EXPECT_EQ(h.out.out[1].event_time, end);
+  // Every record's cleanup falls past the end of time: one timer, at it.
+  EXPECT_EQ(h.timers.event_timers().size(), 1u);
+  EXPECT_EQ(h.timers.event_timers().NextDeadline(), end);
 }
 
 // Gathers what an operator emits when a test drives it directly.
