@@ -11,8 +11,10 @@
 # elements queued in them), and a TSan build of the data-plane suites (channel ring buffer, task
 # loops and their park/wake protocol, stress tests, the chaos suite's
 # crash-recovery schedules) and of the LSM suite (pinned scans stepped
-# between writes, scans racing a writer's compactions) to catch ordering
-# bugs in the lock-free and locked paths.
+# between writes, scans racing a writer's compactions) and of the EvoScope
+# suites (obs: shared histograms and the registry; introspection: the event
+# journal under concurrent emitters and a cursor reader, the HTTP server's
+# start/stop) to catch ordering bugs in the lock-free and locked paths.
 #
 # Usage: scripts/check.sh [--fast]
 #   --fast   skip the chaos and sanitizer stages
@@ -96,10 +98,12 @@ cmake -B build-tsan -S . \
   -DCMAKE_CXX_FLAGS="$TSAN_FLAGS" \
   -DCMAKE_EXE_LINKER_FLAGS="$TSAN_FLAGS" >/dev/null
 cmake --build build-tsan -j"$(nproc)" \
-  --target channel_test dataflow_test concurrency_test lsm_test chaos_test
+  --target channel_test dataflow_test concurrency_test lsm_test chaos_test \
+           obs_test introspection_test
 
 echo "=== tsan: run ==="
-for t in channel_test dataflow_test concurrency_test lsm_test; do
+for t in channel_test dataflow_test concurrency_test lsm_test obs_test \
+         introspection_test; do
   echo "--- $t ---"
   ./build-tsan/tests/"$t"
 done

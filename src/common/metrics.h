@@ -5,10 +5,10 @@
 /// load shedders, and the benchmark harness: counters, gauges and
 /// fixed-bucket latency histograms with quantile estimation.
 ///
-/// Hot-path writes (Histogram::Record) are striped across
-/// per-thread shards so concurrent subtasks do not contend on one mutex;
-/// readers merge the shards on demand. The registry is the single namespace
-/// the EvoScope exporters (src/obs/) walk to render Prometheus/JSON views.
+/// A histogram is one bucket set under one mutex; its per-record writers
+/// are single task threads, so the hot-path lock is uncontended. The
+/// registry is the single namespace the EvoScope exporters (src/obs/) walk
+/// to render Prometheus/JSON views.
 
 #include <algorithm>
 #include <array>
@@ -20,7 +20,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <vector>
 
 namespace evo {
 
@@ -29,7 +28,6 @@ class Counter {
  public:
   void Inc(uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
   uint64_t Value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<uint64_t> value_{0};
@@ -45,22 +43,12 @@ class Gauge {
   std::atomic<double> value_{0};
 };
 
-namespace internal {
-/// \brief Stable small shard index for the calling thread (assigned
-/// round-robin on first use) so threads mostly write disjoint shards.
-inline size_t ThisThreadShard(size_t num_shards) {
-  static std::atomic<size_t> next{0};
-  thread_local const size_t assigned =
-      next.fetch_add(1, std::memory_order_relaxed);
-  return assigned % num_shards;
-}
-}  // namespace internal
-
 /// \brief Reservoir-free histogram over log-spaced buckets; supports
 /// approximate quantiles good enough for latency reporting.
 ///
-/// Writes land in one of kShards thread-striped shards (one uncontended
-/// lock each); reads merge all shards. Quantiles interpolate linearly
+/// One bucket set under one mutex: each per-record writer (a task's
+/// process time, a backend's get/put latency) is a single thread, so the
+/// lock is uncontended on the hot path. Quantiles interpolate linearly
 /// inside the hit bucket and are clamped to the observed [min, max].
 class Histogram {
  public:
@@ -68,38 +56,76 @@ class Histogram {
 
   /// \brief Records a non-negative sample (e.g. latency in microseconds).
   void Record(double v) {
-    Shard& s = shards_[internal::ThisThreadShard(kShards)];
-    std::lock_guard<std::mutex> lock(s.mu);
-    ++s.count;
-    s.sum += v;
-    s.max = std::max(s.max, v);
-    s.min = s.count == 1 ? v : std::min(s.min, v);
-    ++s.buckets[BucketOf(v)];
+    std::lock_guard<std::mutex> lock(mu_);
+    ++data_.count;
+    data_.sum += v;
+    data_.max = std::max(data_.max, v);
+    data_.min = data_.count == 1 ? v : std::min(data_.min, v);
+    ++data_.buckets[BucketOf(v)];
   }
 
-  uint64_t Count() const { return Merge().count; }
+  uint64_t Count() const { return Copy().count; }
   double Mean() const {
-    Merged m = Merge();
-    return m.count ? m.sum / static_cast<double>(m.count) : 0;
+    Data d = Copy();
+    return d.count ? d.sum / static_cast<double>(d.count) : 0;
   }
-  double Max() const { return Merge().max; }
-  double Min() const { return Merge().min; }
-  double Sum() const { return Merge().sum; }
+  double Max() const { return Copy().max; }
+  double Min() const { return Copy().min; }
+  double Sum() const { return Copy().sum; }
 
   /// \brief Approximate quantile (q in [0,1]) with linear interpolation
   /// inside the log2 bucket containing the target rank.
-  double Quantile(double q) const {
-    Merged m = Merge();
-    if (m.count == 0) return 0;
+  double Quantile(double q) const { return QuantileOf(Copy(), q); }
+
+  /// \brief Point-in-time view for exporters: every figure comes from one
+  /// copy taken under the lock, so they agree with each other.
+  struct Snapshot {
+    uint64_t count = 0;
+    double sum = 0, min = 0, max = 0, mean = 0;
+    double p50 = 0, p90 = 0, p99 = 0;
+  };
+  Snapshot TakeSnapshot() const {
+    Data d = Copy();
+    Snapshot s;
+    s.count = d.count;
+    s.sum = d.sum;
+    s.min = d.min;
+    s.max = d.max;
+    s.mean = d.count ? d.sum / static_cast<double>(d.count) : 0;
+    s.p50 = QuantileOf(d, 0.50);
+    s.p90 = QuantileOf(d, 0.90);
+    s.p99 = QuantileOf(d, 0.99);
+    return s;
+  }
+
+ private:
+  // Buckets: [0,1), [1,2), [2,4), ... log2-spaced up to ~2^62.
+  static constexpr size_t kNumBuckets = 64;
+
+  struct Data {
+    uint64_t count = 0;
+    double sum = 0;
+    double max = 0;
+    double min = 0;
+    std::array<uint64_t, kNumBuckets> buckets{};
+  };
+
+  Data Copy() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return data_;
+  }
+
+  static double QuantileOf(const Data& d, double q) {
+    if (d.count == 0) return 0;
     q = std::clamp(q, 0.0, 1.0);
     // The extreme quantiles are known exactly.
-    if (q == 0.0) return m.min;
-    if (q == 1.0) return m.max;
+    if (q == 0.0) return d.min;
+    if (q == 1.0) return d.max;
     // Target rank in [0, count-1]; the bucket holding it bounds the value.
-    double rank = q * static_cast<double>(m.count - 1);
+    double rank = q * static_cast<double>(d.count - 1);
     uint64_t before = 0;
     for (size_t i = 0; i < kNumBuckets; ++i) {
-      uint64_t in_bucket = m.buckets[i];
+      uint64_t in_bucket = d.buckets[i];
       if (in_bucket == 0) continue;
       if (rank < static_cast<double>(before + in_bucket)) {
         // Interpolate position within [lower, upper) by rank fraction
@@ -109,80 +135,11 @@ class Histogram {
         double frac = (rank - static_cast<double>(before) + 0.5) /
                       static_cast<double>(in_bucket);
         double v = lower + frac * (upper - lower);
-        return std::clamp(v, m.min, m.max);
+        return std::clamp(v, d.min, d.max);
       }
       before += in_bucket;
     }
-    return m.max;
-  }
-
-  void Reset() {
-    for (Shard& s : shards_) {
-      std::lock_guard<std::mutex> lock(s.mu);
-      s.count = 0;
-      s.sum = 0;
-      s.max = 0;
-      s.min = 0;
-      s.buckets.fill(0);
-    }
-  }
-
-  /// \brief Point-in-time merged view for exporters (one pass, consistent
-  /// enough for reporting).
-  struct Snapshot {
-    uint64_t count = 0;
-    double sum = 0, min = 0, max = 0, mean = 0;
-    double p50 = 0, p90 = 0, p99 = 0;
-  };
-  Snapshot TakeSnapshot() const {
-    Snapshot s;
-    s.count = Count();
-    s.sum = Sum();
-    s.min = Min();
-    s.max = Max();
-    s.mean = s.count ? s.sum / static_cast<double>(s.count) : 0;
-    s.p50 = Quantile(0.50);
-    s.p90 = Quantile(0.90);
-    s.p99 = Quantile(0.99);
-    return s;
-  }
-
- private:
-  // Buckets: [0,1), [1,2), [2,4), ... log2-spaced up to ~2^62.
-  static constexpr size_t kNumBuckets = 64;
-  static constexpr size_t kShards = 16;
-
-  struct Shard {
-    mutable std::mutex mu;
-    uint64_t count = 0;
-    double sum = 0;
-    double max = 0;
-    double min = 0;
-    std::array<uint64_t, kNumBuckets> buckets{};
-  };
-
-  struct Merged {
-    uint64_t count = 0;
-    double sum = 0;
-    double max = 0;
-    double min = 0;
-    std::array<uint64_t, kNumBuckets> buckets{};
-  };
-
-  Merged Merge() const {
-    Merged m;
-    bool first = true;
-    for (const Shard& s : shards_) {
-      std::lock_guard<std::mutex> lock(s.mu);
-      if (s.count == 0) continue;
-      m.count += s.count;
-      m.sum += s.sum;
-      m.max = first ? s.max : std::max(m.max, s.max);
-      m.min = first ? s.min : std::min(m.min, s.min);
-      for (size_t i = 0; i < kNumBuckets; ++i) m.buckets[i] += s.buckets[i];
-      first = false;
-    }
-    return m;
+    return d.max;
   }
 
   static size_t BucketOf(double v) {
@@ -199,7 +156,8 @@ class Histogram {
     return std::pow(2.0, static_cast<double>(b));
   }
 
-  mutable std::array<Shard, kShards> shards_;
+  mutable std::mutex mu_;
+  Data data_;
 };
 
 /// \brief Named registry so tasks/operators can publish metrics the
@@ -228,14 +186,6 @@ class MetricsRegistry {
     auto& slot = histograms_[name];
     if (!slot) slot = std::make_unique<Histogram>();
     return slot.get();
-  }
-
-  std::vector<std::string> CounterNames() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::vector<std::string> names;
-    names.reserve(counters_.size());
-    for (const auto& [name, counter] : counters_) names.push_back(name);
-    return names;
   }
 
   // Enumeration for exporters. Callbacks run under the registry lock with

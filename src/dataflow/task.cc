@@ -552,21 +552,13 @@ Status Task::HandleElement(size_t input_index, StreamElement element) {
       return Status::OK();
     case ElementKind::kEndOfStream: {
       input_ended_[input_index] = true;
-      if (!inputs_[input_index].is_feedback()) {
-        // Ended inputs stop holding the watermark back.
-        size_t wm_index = 0;
-        for (size_t j = 0; j < input_index; ++j) {
-          if (!inputs_[j].is_feedback()) ++wm_index;
-        }
-        TimeMs combined = kMinWatermark;
-        if (wm_tracker_->MarkIdle(wm_index, &combined)) {
-          if (wm_lag_probe_ != nullptr) wm_lag_probe_->Observe(combined);
-          EVO_RETURN_IF_ERROR(FireEventTimers(combined));
-          EVO_RETURN_IF_ERROR(op_->OnWatermark(combined, collector_.get()));
-          BroadcastControl(StreamElement::Watermark(combined));
-        }
+      if (inputs_[input_index].is_feedback()) return Status::OK();
+      // Ended inputs stop holding the watermark back.
+      TimeMs combined = kMinWatermark;
+      if (!wm_tracker_->MarkIdle(WatermarkIndex(input_index), &combined)) {
+        return Status::OK();
       }
-      return Status::OK();
+      return AdvanceWatermark(combined);
     }
   }
   return Status::Internal("unknown element kind");
@@ -592,14 +584,22 @@ Status Task::HandleRecord(size_t ordinal, Record record) {
 }
 
 Status Task::HandleWatermark(size_t input_index, TimeMs watermark) {
+  TimeMs combined = kMinWatermark;
+  if (!wm_tracker_->Update(WatermarkIndex(input_index), watermark, &combined)) {
+    return Status::OK();
+  }
+  return AdvanceWatermark(combined);
+}
+
+size_t Task::WatermarkIndex(size_t input_index) const {
   size_t wm_index = 0;
   for (size_t j = 0; j < input_index; ++j) {
     if (!inputs_[j].is_feedback()) ++wm_index;
   }
-  TimeMs combined = kMinWatermark;
-  if (!wm_tracker_->Update(wm_index, watermark, &combined)) {
-    return Status::OK();
-  }
+  return wm_index;
+}
+
+Status Task::AdvanceWatermark(TimeMs combined) {
   if (wm_lag_probe_ != nullptr) wm_lag_probe_->Observe(combined);
   EVO_RETURN_IF_ERROR(FireEventTimers(combined));
   EVO_RETURN_IF_ERROR(op_->OnWatermark(combined, collector_.get()));

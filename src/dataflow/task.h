@@ -238,6 +238,11 @@ class Task {
   Status HandleElement(size_t input_index, StreamElement element);
   Status HandleRecord(size_t ordinal, Record record);
   Status HandleWatermark(size_t input_index, TimeMs watermark);
+  /// Position of a non-feedback input among the watermark tracker's inputs.
+  size_t WatermarkIndex(size_t input_index) const;
+  /// Acts on a new combined watermark: observes the lag, fires event-time
+  /// timers, calls the operator and forwards the watermark downstream.
+  Status AdvanceWatermark(TimeMs combined);
   Status HandleBarrier(size_t input_index, uint64_t checkpoint_id,
                        CheckpointMode mode);
   /// Pins the task's state for a checkpoint (after completing any snapshot

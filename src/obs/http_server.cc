@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 
 #include "common/logging.h"
@@ -16,6 +17,10 @@
 namespace evo::obs {
 
 namespace {
+
+/// Pause before retrying a failed accept(), so a persistent failure such as
+/// descriptor exhaustion does not spin.
+constexpr std::chrono::milliseconds kAcceptRetryPause{10};
 
 const char* StatusText(int status) {
   switch (status) {
@@ -166,13 +171,20 @@ Status HttpServer::Start() {
 
 void HttpServer::Stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-  stopping_.store(true, std::memory_order_release);
-  if (listen_fd_ >= 0) {
-    // Unblocks accept(); the accept thread closes the fd on its way out.
-    ::shutdown(listen_fd_, SHUT_RDWR);
+  {
+    // Set under the queue lock, so a worker between its predicate check and
+    // its wait cannot miss the notify_all below.
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    stopping_.store(true, std::memory_order_release);
   }
+  // Stop alone owns the listen fd: shutdown() fails the blocked accept(),
+  // and the fd is closed only once the accept thread has exited, so its
+  // number cannot be reused under a thread still using it.
+  ::shutdown(listen_fd_, SHUT_RDWR);
   queue_cv_.notify_all();
   if (accept_thread_.joinable()) accept_thread_.join();
+  ::close(listen_fd_);
+  listen_fd_ = -1;
   for (std::thread& w : workers_) {
     if (w.joinable()) w.join();
   }
@@ -186,8 +198,12 @@ void HttpServer::AcceptLoop() {
   while (!stopping_.load(std::memory_order_acquire)) {
     int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
-      if (errno == EINTR) continue;
-      break;  // listen socket shut down (Stop) or fatal error
+      // Only Stop ends the loop. Any other failure (EMFILE when the process
+      // is out of descriptors, an aborted connection) is retried.
+      if (errno != EINTR && !stopping_.load(std::memory_order_acquire)) {
+        std::this_thread::sleep_for(kAcceptRetryPause);
+      }
+      continue;
     }
     SetIoTimeouts(fd, options_.io_timeout_ms);
     bool rejected = false;
@@ -206,10 +222,6 @@ void HttpServer::AcceptLoop() {
     } else {
       queue_cv_.notify_one();
     }
-  }
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
   }
 }
 

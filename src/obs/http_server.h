@@ -122,6 +122,7 @@ class HttpServer {
   std::map<std::string, Handler> exact_;
   std::map<std::string, Handler> prefix_;
 
+  /// Opened by Start; closed by Stop after the accept thread has joined.
   int listen_fd_ = -1;
   std::atomic<uint16_t> bound_port_{0};
   std::atomic<bool> running_{false};

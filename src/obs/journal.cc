@@ -1,6 +1,7 @@
 #include "obs/journal.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "obs/exporters.h"
 
@@ -63,14 +64,8 @@ std::string Event::ToJson() const {
 }
 
 EventJournal::EventJournal(Options options) : options_(options) {
-  options_.stripes = std::max<size_t>(options_.stripes, 1);
-  options_.capacity = std::max<size_t>(options_.capacity, options_.stripes);
-  per_stripe_ = options_.capacity / options_.stripes;
-  stripes_.reserve(options_.stripes);
-  for (size_t i = 0; i < options_.stripes; ++i) {
-    stripes_.push_back(std::make_unique<Stripe>());
-    stripes_.back()->ring.reserve(per_stripe_);
-  }
+  options_.capacity = std::max<size_t>(options_.capacity, 1);
+  ring_.reserve(options_.capacity);
   if (!options_.jsonl_path.empty()) {
     jsonl_file_ = std::fopen(options_.jsonl_path.c_str(), "a");
     if (jsonl_file_ == nullptr) {
@@ -89,79 +84,88 @@ uint64_t EventJournal::Emit(EventType type, std::string scope,
                             std::string message,
                             std::vector<EventField> fields) {
   Event e;
-  e.seq = next_seq_.fetch_add(1, std::memory_order_acq_rel) + 1;
-  e.ts_ms = options_.clock->NowMs();
   e.type = type;
   e.scope = std::move(scope);
   e.message = std::move(message);
   e.fields = std::move(fields);
 
+  std::lock_guard<std::mutex> lock(mu_);
+  e.seq = ++last_seq_;
+  e.ts_ms = options_.clock->NowMs();
   if (jsonl_file_ != nullptr) {
     std::string line = e.ToJson();
-    std::lock_guard<std::mutex> lock(file_mu_);
     std::fwrite(line.data(), 1, line.size(), jsonl_file_);
     std::fputc('\n', jsonl_file_);
     std::fflush(jsonl_file_);
   }
-
-  Stripe& stripe = *stripes_[(e.seq - 1) % stripes_.size()];
-  uint64_t slot = ((e.seq - 1) / stripes_.size()) % per_stripe_;
-  uint64_t seq = e.seq;
-  {
-    std::lock_guard<std::mutex> lock(stripe.mu);
-    if (stripe.ring.size() <= slot) {
-      stripe.ring.resize(slot + 1);
-    }
-    // A writer delayed a full ring-lap behind could otherwise clobber the
-    // newer occupant of its slot.
-    if (stripe.ring[slot].seq < e.seq) stripe.ring[slot] = std::move(e);
+  if (ring_.size() < options_.capacity) {
+    ring_.push_back(std::move(e));
+  } else {
+    ring_[(last_seq_ - 1) % options_.capacity] = std::move(e);
   }
-  return seq;
+  return last_seq_;
 }
 
-std::vector<Event> EventJournal::Since(uint64_t since_seq, size_t limit) const {
+std::vector<Event> EventJournal::SinceLocked(uint64_t since_seq,
+                                             size_t limit) const {
   std::vector<Event> out;
-  for (const auto& stripe : stripes_) {
-    std::lock_guard<std::mutex> lock(stripe->mu);
-    for (const Event& e : stripe->ring) {
-      if (e.seq > since_seq) out.push_back(e);
-    }
+  uint64_t first = std::max(since_seq + 1, OldestRetainedLocked());
+  if (first > last_seq_) return out;
+  uint64_t n = last_seq_ - first + 1;
+  if (limit > 0) n = std::min<uint64_t>(n, limit);
+  out.reserve(n);
+  for (uint64_t seq = first; seq < first + n; ++seq) {
+    out.push_back(ring_[(seq - 1) % options_.capacity]);
   }
-  std::sort(out.begin(), out.end(),
-            [](const Event& a, const Event& b) { return a.seq < b.seq; });
-  if (limit > 0 && out.size() > limit) out.resize(limit);
   return out;
 }
 
-uint64_t EventJournal::OldestRetained() const {
-  uint64_t total = TotalEmitted();
-  if (total == 0) return 0;
-  uint64_t oldest = UINT64_MAX;
-  for (const auto& stripe : stripes_) {
-    std::lock_guard<std::mutex> lock(stripe->mu);
-    for (const Event& e : stripe->ring) {
-      if (e.seq != 0) oldest = std::min(oldest, e.seq);
-    }
-  }
-  return oldest == UINT64_MAX ? 0 : oldest;
+std::vector<Event> EventJournal::Since(uint64_t since_seq, size_t limit) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return SinceLocked(since_seq, limit);
 }
 
+uint64_t EventJournal::TotalEmitted() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return last_seq_;
+}
+
+uint64_t EventJournal::OldestRetainedLocked() const {
+  if (last_seq_ == 0) return 0;
+  return last_seq_ > ring_.size() ? last_seq_ - ring_.size() + 1 : 1;
+}
+
+uint64_t EventJournal::OldestRetained() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return OldestRetainedLocked();
+}
+
+namespace {
+/// Events in (since_seq, oldest) were emitted but already overwritten; an
+/// empty ring (oldest 0) has dropped nothing measurable.
+uint64_t Gap(uint64_t oldest, uint64_t since_seq) {
+  return oldest > since_seq + 1 ? oldest - since_seq - 1 : 0;
+}
+}  // namespace
+
 uint64_t EventJournal::DroppedBefore(uint64_t since_seq) const {
-  uint64_t oldest = OldestRetained();
-  if (oldest == 0) return 0;  // nothing retained, nothing measurably dropped
-  // Events in (since_seq, oldest) were emitted but already overwritten.
-  if (oldest <= since_seq + 1) return 0;
-  return oldest - since_seq - 1;
+  return Gap(OldestRetained(), since_seq);
 }
 
 std::string EventJournal::ToJson(uint64_t since_seq, size_t limit) const {
-  std::vector<Event> events = Since(since_seq, limit);
-  uint64_t next_since = since_seq;
-  for (const Event& e : events) next_since = std::max(next_since, e.seq);
-  if (events.empty()) next_since = TotalEmitted();
+  std::vector<Event> events;
+  uint64_t total = 0;
+  uint64_t dropped = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    events = SinceLocked(since_seq, limit);
+    total = last_seq_;
+    dropped = Gap(OldestRetainedLocked(), since_seq);
+  }
+  uint64_t next_since = events.empty() ? total : events.back().seq;
   std::string out = "{\"next_since\": " + std::to_string(next_since) +
-                    ", \"dropped\": " + std::to_string(DroppedBefore(since_seq)) +
-                    ", \"total_emitted\": " + std::to_string(TotalEmitted()) +
+                    ", \"dropped\": " + std::to_string(dropped) +
+                    ", \"total_emitted\": " + std::to_string(total) +
                     ", \"events\": [";
   for (size_t i = 0; i < events.size(); ++i) {
     out += i == 0 ? "\n  " : ",\n  ";

@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file journal.h
-/// \brief Structured event journal: a lock-striped, monotonically-sequenced
+/// \brief Structured event journal: a bounded, monotonically-sequenced
 /// in-memory ring of typed control-plane lifecycle events, with an optional
 /// JSONL file sink.
 ///
@@ -12,18 +12,17 @@
 /// log lines. Consumers read it through EventJournal::Since (the HTTP
 /// `/events?since=<seq>` endpoint) or tail the JSONL file.
 ///
-/// Concurrency: a global atomic assigns sequence numbers; events land in
-/// `seq % stripes` so concurrent emitters from different task threads rarely
-/// contend on the same mutex. Readers merge the stripes back into sequence
-/// order. The ring keeps the most recent `capacity` events; older ones are
-/// overwritten (Since reports how many were dropped before the requested
-/// cursor).
+/// Concurrency: one mutex guards the ring. Emit assigns the sequence
+/// number, writes the JSONL line and stores the event under it, so sequence
+/// order, ring order and file order are the same, and a reader that pages
+/// with the last sequence it saw as its cursor sees every retained event
+/// exactly once. The traffic is a few events per second, so the lock is
+/// uncontended. The ring keeps the most recent `capacity` events; older
+/// ones are overwritten (Since reports how many were dropped before the
+/// requested cursor).
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <functional>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -83,16 +82,14 @@ struct Event {
 /// \brief Configuration for EventJournal (namespace scope so `= {}` default
 /// arguments work across compilers).
 struct JournalOptions {
-  /// Total events retained across all stripes.
+  /// Most recent events retained.
   size_t capacity = 4096;
-  /// Number of independently locked stripes.
-  size_t stripes = 8;
   /// When non-empty, every event is also appended to this JSONL file.
   std::string jsonl_path;
   Clock* clock = SystemClock::Instance();
 };
 
-/// \brief Lock-striped bounded event ring + optional JSONL file sink.
+/// \brief Bounded event ring under one lock + optional JSONL file sink.
 class EventJournal {
  public:
   using Options = JournalOptions;
@@ -113,9 +110,7 @@ class EventJournal {
   std::vector<Event> Since(uint64_t since_seq, size_t limit = 0) const;
 
   /// \brief Total events ever emitted (== the latest sequence number).
-  uint64_t TotalEmitted() const {
-    return next_seq_.load(std::memory_order_acquire);
-  }
+  uint64_t TotalEmitted() const;
 
   /// \brief Smallest sequence still retained in the ring (0 when empty).
   uint64_t OldestRetained() const;
@@ -137,17 +132,13 @@ class EventJournal {
   void RemoveLogHook();
 
  private:
-  struct Stripe {
-    mutable std::mutex mu;
-    std::vector<Event> ring;  ///< capacity/stripes slots, index (seq/stripes)%n
-  };
+  uint64_t OldestRetainedLocked() const;
+  std::vector<Event> SinceLocked(uint64_t since_seq, size_t limit) const;
 
   Options options_;
-  size_t per_stripe_;  ///< ring slots per stripe
-  std::vector<std::unique_ptr<Stripe>> stripes_;
-  std::atomic<uint64_t> next_seq_{0};
-
-  std::mutex file_mu_;
+  mutable std::mutex mu_;
+  std::vector<Event> ring_;  ///< event `seq` lives at (seq - 1) % capacity
+  uint64_t last_seq_ = 0;    ///< latest sequence assigned; guarded by mu_
   std::FILE* jsonl_file_ = nullptr;
   bool log_hook_installed_ = false;
 };

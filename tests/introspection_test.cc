@@ -7,10 +7,12 @@
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -159,6 +161,45 @@ TEST(HttpServerTest, StopIsIdempotentAndRestartable) {
   EXPECT_EQ(HttpGet(port, "/").status, 0);
 }
 
+TEST(HttpServerTest, AcceptRetriesAfterDescriptorExhaustion) {
+  obs::HttpServer server;
+  server.HandleExact("/ping", [](const obs::HttpRequest&) {
+    return obs::HttpResponse::Text("pong");
+  });
+  ASSERT_TRUE(server.Start().ok());
+
+  // With the soft descriptor limit at the lowest free descriptor, accept()
+  // fails with EMFILE: the silent client's connection is taken on the
+  // descriptor the accept thread had already reserved (or stays queued),
+  // and every later accept() has no descriptor to allocate.
+  int silent = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(silent, 0);
+  int lowest_free = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(lowest_free, 0);
+  ::close(lowest_free);
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  rlimit tight = saved;
+  tight.rlim_cur = static_cast<rlim_t>(lowest_free);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &tight), 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server.port());
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  int connected =
+      ::connect(silent, reinterpret_cast<sockaddr*>(&addr), sizeof(addr));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+  EXPECT_EQ(connected, 0);
+
+  // Once descriptors are available again the server accepts and serves.
+  HttpReply reply = HttpGet(server.port(), "/ping");
+  EXPECT_EQ(reply.status, 200);
+  EXPECT_EQ(reply.body, "pong");
+  ::close(silent);
+  server.Stop();
+}
+
 // ---------------------------------------------------------------------------
 // EventJournal
 // ---------------------------------------------------------------------------
@@ -190,7 +231,6 @@ TEST(JournalTest, AssignsMonotonicSequencesAndPaginates) {
 TEST(JournalTest, RingOverflowKeepsNewestAndReportsDropped) {
   obs::JournalOptions options;
   options.capacity = 16;
-  options.stripes = 4;
   obs::EventJournal journal(options);
   for (int i = 0; i < 100; ++i) {
     journal.Emit(obs::EventType::kLog, "test", std::to_string(i));
@@ -230,6 +270,63 @@ TEST(JournalTest, ConcurrentEmittersNeverCollideOnSequences) {
   for (size_t i = 1; i < events.size(); ++i) {
     EXPECT_EQ(events[i].seq, events[i - 1].seq + 1);
   }
+}
+
+TEST(JournalTest, CursorReaderSeesEverySequenceOnceInOrder) {
+  std::string path = ::testing::TempDir() + "introspection_journal_order.jsonl";
+  std::remove(path.c_str());
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 20000;
+  constexpr uint64_t kTotal = kThreads * kPerThread;
+  std::vector<uint64_t> seen;
+  {
+    obs::JournalOptions options;
+    options.capacity = kTotal;  // nothing is overwritten, so nothing may be missed
+    options.jsonl_path = path;
+    obs::EventJournal journal(options);
+    std::atomic<bool> done{false};
+    // Pages with the last sequence it got as the cursor, like a client of
+    // `/events?since=`, until one page after the emitters finished.
+    std::thread reader([&] {
+      uint64_t cursor = 0;
+      bool last_page = false;
+      while (!last_page) {
+        last_page = done.load(std::memory_order_acquire);
+        for (const obs::Event& e : journal.Since(cursor)) {
+          seen.push_back(e.seq);
+          cursor = e.seq;
+        }
+      }
+    });
+    std::vector<std::thread> emitters;
+    for (int t = 0; t < kThreads; ++t) {
+      emitters.emplace_back([&journal] {
+        for (int i = 0; i < kPerThread; ++i) {
+          journal.Emit(obs::EventType::kLog, "test", "m");
+        }
+      });
+    }
+    for (auto& th : emitters) th.join();
+    done.store(true, std::memory_order_release);
+    reader.join();
+  }
+
+  ASSERT_EQ(seen.size(), kTotal);
+  for (uint64_t i = 0; i < kTotal; ++i) {
+    ASSERT_EQ(seen[i], i + 1) << "cursor reader skipped or repeated";
+  }
+  // The JSONL file holds the same events in sequence order.
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good());
+  std::string line;
+  uint64_t expected = 1;
+  while (std::getline(in, line)) {
+    ASSERT_EQ(line.rfind("{\"seq\": " + std::to_string(expected) + ",", 0), 0u)
+        << line;
+    ++expected;
+  }
+  EXPECT_EQ(expected, kTotal + 1);
+  std::remove(path.c_str());
 }
 
 TEST(JournalTest, JsonlSinkAppendsOneLinePerEvent) {
